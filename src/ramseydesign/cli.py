@@ -20,8 +20,10 @@ from . import __version__
 from .config import ConfigError, ParsedConfig, parse_config
 from .demo import background_saturation, likelihood_inset
 from .output import write_batch, write_scaling, write_trace
+from .protocols import SettingGrid
 from .runner import (
     RunError,
+    default_prior,
     run_batch,
     run_single,
     snr_epoch_time_us,
@@ -204,13 +206,11 @@ def _cmd_scaling(args) -> int:
         params=dataclasses.replace(cfg.truth.params, t2=float("inf")),
         overhead_us=0.0,
     )
-    from .particles import PriorSpec
-    from .protocols import SettingGrid
-
     grid = SettingGrid(tau_min=0.05, tau_max=cfg.scaling.grid_max_us, step=0.05)
-    prior = PriorSpec(
-        bounds={"omega0": cfg.prior.bounds["omega0"]},
-        fixed={"a": truth.params.a, "c": truth.params.c, "t2": truth.params.t2},
+    prior = default_prior(
+        "omega-only",
+        truth,
+        cfg.prior.bounds,
         n_particles=cfg.prior.n_particles,
         resample_threshold=cfg.prior.resample_threshold,
         shrinkage=cfg.prior.shrinkage,

@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .instrument import DRIFT_KINDS, DriftSpec, TruthConfig
 from .model import RamseyParams
 from .particles import PriorSpec
 from .protocols import SettingGrid, TauConfig
-from .runner import PROTOCOLS, UNKNOWN_MODES, WORKFLOWS, RunConfig
+from .runner import PRIOR_BOUNDS, PROTOCOLS, UNKNOWN_MODES, WORKFLOWS, RunConfig, default_prior
 
 SEED_ENV_VAR = "RAMSEY_DESIGN_SEED"
 
@@ -97,48 +97,52 @@ def _identity(x):
     return x
 
 
-# key -> (parser, validator, default). Defaults reproduce the paper's
-# simulation: a=0.8, c=0.13, omega0=9.4 rad/us, T2=10 us, 0.15
-# photons/sequence, 4.07 us overhead, tau grid 0.1-20 us at 50 ns.
+# The paper's simulated instrument: TruthConfig's default parameters.
+_TRUTH = TruthConfig().params
+
+# key -> (parser, validator, default). Defaults that a dataclass already
+# sets are read from it.
 SCHEMA: dict[str, tuple] = {
-    "run.protocol": (_parse_choice(PROTOCOLS), _identity, "bayes"),
-    "run.unknowns": (_parse_choice(UNKNOWN_MODES), _identity, "omega-only"),
+    "run.protocol": (_parse_choice(PROTOCOLS), _identity, RunConfig.protocol),
+    "run.unknowns": (_parse_choice(UNKNOWN_MODES), _identity, RunConfig.unknowns),
     "run.epochs": (_parse_int, _at_least(1), None),
     "run.lab_time_s": (_parse_float, _positive, None),
     "run.epoch_time_ms": (_parse_float, _positive, None),
-    "run.background_window": (_parse_int, _at_least(1), 20),
+    "run.background_window": (_parse_int, _at_least(1), RunConfig.background_window),
     "run.seed": (_parse_int, _identity, None),
-    "run.workflow": (_parse_choice(WORKFLOWS), _identity, "concurrent-deterministic"),
-    "run.selection": (_parse_choice(("argmax", "softmax")), _identity, "argmax"),
-    "run.softmax_scale": (_parse_float, _positive, 1.0),
-    "run.background_prior_exponent": (_parse_float, _identity, -1.0),
+    "run.workflow": (_parse_choice(WORKFLOWS), _identity, RunConfig.workflow),
+    "run.selection": (_parse_choice(("argmax", "softmax")), _identity, RunConfig.selection),
+    "run.softmax_scale": (_parse_float, _positive, RunConfig.softmax_scale),
+    "run.background_prior_exponent": (
+        _parse_float, _identity, RunConfig.background_prior_exponent,
+    ),
     "batch.runs": (_parse_int, _at_least(2), 100),
     "batch.workers": (_parse_int, _at_least(1), 1),
-    "grid.tau_min_us": (_parse_float, _positive, 0.1),
-    "grid.tau_max_us": (_parse_float, _positive, 20.0),
-    "grid.step_us": (_parse_float, _positive, 0.05),
-    "truth.a": (_parse_float, _positive, 0.8),
-    "truth.c": (_parse_float, _non_negative, 0.13),
-    "truth.omega0": (_parse_float, _non_negative, 9.4),
-    "truth.t2_us": (_parse_float, _positive, 10.0),
-    "truth.lambda_b": (_parse_float, _positive, 0.15),
-    "truth.overhead_us": (_parse_float, _non_negative, 4.07),
-    "truth.drift": (_parse_choice(DRIFT_KINDS), _identity, "none"),
-    "truth.drift_amplitude": (_parse_float, _identity, 0.0),
-    "truth.drift_period_s": (_parse_float, _positive, 10.0),
-    "prior.particles": (_parse_int, _at_least(100), 50_000),
-    "prior.resample_threshold": (_parse_float, _fraction, 0.5),
-    "prior.shrinkage": (_parse_float, _fraction, 0.98),
-    "prior.a_min": (_parse_float, _positive, 0.4),
-    "prior.a_max": (_parse_float, _positive, 1.2),
-    "prior.c_min": (_parse_float, _non_negative, 0.02),
-    "prior.c_max": (_parse_float, _positive, 0.3),
-    "prior.omega0_min": (_parse_float, _non_negative, 1.0),
-    "prior.omega0_max": (_parse_float, _positive, 60.0),
-    "prior.t2_min_us": (_parse_float, _positive, 2.0),
-    "prior.t2_max_us": (_parse_float, _positive, 30.0),
-    "tau.h": (_parse_float, _positive, 0.5),
-    "tau.top_fraction": (_parse_float, _fraction, 0.1),
+    "grid.tau_min_us": (_parse_float, _positive, SettingGrid.tau_min),
+    "grid.tau_max_us": (_parse_float, _positive, SettingGrid.tau_max),
+    "grid.step_us": (_parse_float, _positive, SettingGrid.step),
+    "truth.a": (_parse_float, _positive, _TRUTH.a),
+    "truth.c": (_parse_float, _non_negative, _TRUTH.c),
+    "truth.omega0": (_parse_float, _non_negative, _TRUTH.omega0),
+    "truth.t2_us": (_parse_float, _positive, _TRUTH.t2),
+    "truth.lambda_b": (_parse_float, _positive, TruthConfig.lambda_b0),
+    "truth.overhead_us": (_parse_float, _non_negative, TruthConfig.overhead_us),
+    "truth.drift": (_parse_choice(DRIFT_KINDS), _identity, DriftSpec.kind),
+    "truth.drift_amplitude": (_parse_float, _identity, DriftSpec.amplitude),
+    "truth.drift_period_s": (_parse_float, _positive, DriftSpec.period_s),
+    "prior.particles": (_parse_int, _at_least(100), PriorSpec.n_particles),
+    "prior.resample_threshold": (_parse_float, _fraction, PriorSpec.resample_threshold),
+    "prior.shrinkage": (_parse_float, _fraction, PriorSpec.shrinkage),
+    "prior.a_min": (_parse_float, _positive, PRIOR_BOUNDS["a"][0]),
+    "prior.a_max": (_parse_float, _positive, PRIOR_BOUNDS["a"][1]),
+    "prior.c_min": (_parse_float, _non_negative, PRIOR_BOUNDS["c"][0]),
+    "prior.c_max": (_parse_float, _positive, PRIOR_BOUNDS["c"][1]),
+    "prior.omega0_min": (_parse_float, _non_negative, PRIOR_BOUNDS["omega0"][0]),
+    "prior.omega0_max": (_parse_float, _positive, PRIOR_BOUNDS["omega0"][1]),
+    "prior.t2_min_us": (_parse_float, _positive, PRIOR_BOUNDS["t2"][0]),
+    "prior.t2_max_us": (_parse_float, _positive, PRIOR_BOUNDS["t2"][1]),
+    "tau.h": (_parse_float, _positive, TauConfig.h),
+    "tau.top_fraction": (_parse_float, _fraction, TauConfig.top_fraction),
     "demo.saturation_runs": (_parse_int, _at_least(2), 10),
     "demo.saturation_epochs": (_parse_int, _at_least(1), 220),
     "scaling.repeats": (_parse_int, _at_least(1), 4000),
@@ -175,69 +179,12 @@ class ParsedConfig:
     workers: int
     demo: DemoConfig
     scaling: ScalingConfig
+    # every key's value as parse_config resolved it; None where unset
+    values: dict[str, object] = field(init=False, repr=False, compare=False)
 
     def echo(self) -> str:
         """Text of the effective configuration; parses back identically."""
-        r, t, p = self.run, self.truth, self.prior
-        values = {
-            "run.protocol": r.protocol,
-            "run.unknowns": r.unknowns,
-            "run.background_window": r.background_window,
-            "run.seed": r.seed,
-            "run.workflow": r.workflow,
-            "run.selection": r.selection,
-            "run.softmax_scale": r.softmax_scale,
-            "run.background_prior_exponent": r.background_prior_exponent,
-            "batch.runs": self.batch_runs,
-            "batch.workers": self.workers,
-            "grid.tau_min_us": r.grid.tau_min,
-            "grid.tau_max_us": r.grid.tau_max,
-            "grid.step_us": r.grid.step,
-            "truth.a": t.params.a,
-            "truth.c": t.params.c,
-            "truth.omega0": t.params.omega0,
-            "truth.t2_us": t.params.t2,
-            "truth.lambda_b": t.lambda_b0,
-            "truth.overhead_us": t.overhead_us,
-            "truth.drift": t.drift.kind,
-            "truth.drift_amplitude": t.drift.amplitude,
-            "truth.drift_period_s": t.drift.period_s,
-            "prior.particles": p.n_particles,
-            "prior.resample_threshold": p.resample_threshold,
-            "prior.shrinkage": p.shrinkage,
-            "tau.h": self.tau.h,
-            "tau.top_fraction": self.tau.top_fraction,
-            "demo.saturation_runs": self.demo.saturation_runs,
-            "demo.saturation_epochs": self.demo.saturation_epochs,
-            "scaling.repeats": self.scaling.repeats,
-            "scaling.epochs": self.scaling.epochs,
-            "scaling.runs": self.scaling.runs,
-            "scaling.grid_max_us": self.scaling.grid_max_us,
-        }
-        if r.epochs is not None:
-            values["run.epochs"] = r.epochs
-        else:
-            values["run.lab_time_s"] = r.lab_time_s
-        if r.epoch_time_ms is not None:
-            values["run.epoch_time_ms"] = r.epoch_time_ms
-        bounds = dict(DEFAULT_PRIOR_BOUNDS)
-        bounds.update(
-            {name: p.bounds[name] for name in p.bounds}
-        )
-        for name, (lo, hi) in bounds.items():
-            suffix = "_us" if name == "t2" else ""
-            values[f"prior.{name}_min{suffix}"] = lo
-            values[f"prior.{name}_max{suffix}"] = hi
-        lines = [f"{k} = {values[k]}" for k in sorted(values)]
-        return "\n".join(lines) + "\n"
-
-
-DEFAULT_PRIOR_BOUNDS = {
-    "a": (0.4, 1.2),
-    "c": (0.02, 0.3),
-    "omega0": (1.0, 60.0),
-    "t2": (2.0, 30.0),
-}
+        return "".join(f"{k} = {v}\n" for k, v in sorted(self.values.items()) if v is not None)
 
 
 def _read_pairs(path) -> dict[str, tuple[str, int]]:
@@ -310,7 +257,7 @@ def parse_config(path=None, overrides: dict[str, str] | None = None) -> ParsedCo
                     f"environment variable {SEED_ENV_VAR}={env!r} is not an integer"
                 ) from None
         else:
-            values["run.seed"] = 1
+            values["run.seed"] = RunConfig.seed
 
     try:
         grid = SettingGrid(
@@ -346,8 +293,8 @@ def parse_config(path=None, overrides: dict[str, str] | None = None) -> ParsedCo
             anchor("truth.drift_amplitude", "truth.drift", "truth.a", "truth.t2_us"),
         ) from None
 
-    bounds_all = {}
-    for name in ("a", "c", "omega0", "t2"):
+    bounds = {}
+    for name in PRIOR_BOUNDS:
         suffix = "_us" if name == "t2" else ""
         lo = values[f"prior.{name}_min{suffix}"]
         hi = values[f"prior.{name}_max{suffix}"]
@@ -357,21 +304,11 @@ def parse_config(path=None, overrides: dict[str, str] | None = None) -> ParsedCo
                 path,
                 anchor(f"prior.{name}_min{suffix}", f"prior.{name}_max{suffix}"),
             )
-        bounds_all[name] = (lo, hi)
-
-    if values["run.unknowns"] == "omega-only":
-        bounds = {"omega0": bounds_all["omega0"]}
-        fixed = {
-            "a": truth.params.a,
-            "c": truth.params.c,
-            "t2": truth.params.t2,
-        }
-    else:
-        bounds = bounds_all
-        fixed = {}
-    prior = PriorSpec(
-        bounds=bounds,
-        fixed=fixed,
+        bounds[name] = (lo, hi)
+    prior = default_prior(
+        values["run.unknowns"],
+        truth,
+        bounds,
         n_particles=values["prior.particles"],
         resample_threshold=values["prior.resample_threshold"],
         shrinkage=values["prior.shrinkage"],
@@ -399,7 +336,7 @@ def parse_config(path=None, overrides: dict[str, str] | None = None) -> ParsedCo
             anchor("run.epoch_time_ms", "truth.overhead_us"),
         )
 
-    return ParsedConfig(
+    cfg = ParsedConfig(
         run=run,
         truth=truth,
         prior=prior,
@@ -417,3 +354,5 @@ def parse_config(path=None, overrides: dict[str, str] | None = None) -> ParsedCo
             grid_max_us=values["scaling.grid_max_us"],
         ),
     )
+    object.__setattr__(cfg, "values", values)  # frozen; set once here
+    return cfg

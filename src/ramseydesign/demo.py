@@ -16,10 +16,9 @@ import numpy as np
 
 from .instrument import TruthConfig
 from .likelihood import log_likelihood_counts
-from .model import RamseyParams
 from .particles import PriorSpec
 from .protocols import TauConfig
-from .runner import RunConfig, run_batch
+from .runner import RunConfig, default_prior, run_batch
 
 # Fig-style inset case: 10 signal sequences yielding one photon on a
 # 0.15 photons/sequence background, true R = 0.1/0.15.
@@ -63,7 +62,7 @@ class SaturationPoint:
 
 
 def background_saturation(
-    truth: TruthConfig | None = None,
+    truth: TruthConfig,
     window_ratios=(1, 10, 100),
     runs: int = 10,
     epochs: int = 220,
@@ -80,13 +79,12 @@ def background_saturation(
     so the short runs sit in the converged regime where the background
     window is what limits the uncertainty.
     """
-    if truth is None:
-        truth = TruthConfig(params=RamseyParams(a=0.8, c=0.13, omega0=9.4))
     if prior is None:
-        p = truth.params
-        prior = PriorSpec(
-            bounds={"omega0": (p.omega0 - 0.1, p.omega0 + 0.1)},
-            fixed={"a": p.a, "c": p.c, "t2": p.t2},
+        omega0 = truth.params.omega0
+        prior = default_prior(
+            "omega-only",
+            truth,
+            {"omega0": (omega0 - 0.1, omega0 + 0.1)},
             n_particles=n_particles,
             shrinkage=0.995,
         )

@@ -50,17 +50,13 @@ class EpochData:
 def log_likelihood_counts(n_s, m_s, n_b, m_b, r):
     """Log relative likelihood at ratio ``r`` from raw count values.
 
-    Counts may be floats (expected values), which the closed form
-    supports; the data path uses integer counts via ``log_likelihood``.
-    ``r`` may be an array.
+    The closed form above: ``log_likelihood_general`` at the production
+    exponent -1 plus its R-independent constant. Counts may be floats
+    (expected values), which the closed form supports; the data path
+    uses integer counts via ``log_likelihood``. ``r`` may be an array.
     """
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
-        raise ValueError("ratio R must be > 0")
-    out = n_s * np.log(r) + (n_s + n_b) * (
-        np.log(m_s + m_b) - np.log(m_s * r + m_b)
-    )
-    return out if out.ndim else float(out)
+    const = (n_s + n_b) * np.log(m_s + m_b)
+    return log_likelihood_general(n_s, m_s, n_b, m_b, r, -1.0) + const
 
 
 def log_likelihood(data: EpochData, r):
@@ -72,9 +68,9 @@ def log_likelihood_general(n_s, m_s, n_b, m_b, r, background_prior_exponent=-1.0
     """Log likelihood with an explicit background-prior exponent.
 
     The marginalization result is R^n_s / (m_s R + m_b)^(n_s+n_b+1+nu)
-    up to R-independent factors. nu = -1 reproduces ``log_likelihood``
-    up to a constant and is the self-consistent production choice; other
-    values exist to demonstrate the estimator bias they induce.
+    up to R-independent factors. nu = -1 is ``log_likelihood_counts``
+    without its constant and is the self-consistent production choice;
+    other values exist to demonstrate the estimator bias they induce.
     """
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):

@@ -59,18 +59,6 @@ class RamseyParams:
         return np.array([self.a, self.c, self.omega0, self.t2], dtype=float)
 
 
-@dataclass(frozen=True)
-class CountRates:
-    """Signal and background photon rates per measurement sequence."""
-
-    lambda_s: float
-    lambda_b: float
-
-    def __post_init__(self):
-        if self.lambda_s < 0 or self.lambda_b < 0:
-            raise ValueError("count rates must be non-negative")
-
-
 def ratio_arrays(a, c, omega0, t2, tau):
     """Ratio model evaluated with numpy broadcasting.
 
@@ -85,11 +73,6 @@ def ratio_arrays(a, c, omega0, t2, tau):
 def ratio(params: RamseyParams, tau):
     """Evaluate R(theta) at precession time ``tau`` (us, scalar or array)."""
     return ratio_arrays(params.a, params.c, params.omega0, params.t2, tau)
-
-
-def count_rates(params: RamseyParams, tau, lambda_b: float) -> CountRates:
-    """Per-sequence signal and background rates for one setting."""
-    return CountRates(lambda_s=float(ratio(params, tau)) * lambda_b, lambda_b=lambda_b)
 
 
 def expected_counts(params: RamseyParams, tau, m_s, lambda_b):

@@ -30,11 +30,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import stats as sstats
 
 from .instrument import EpochOutcome, TruthConfig, sequence_duration_ns, simulate_epoch
 from .likelihood import EpochData
+from .model import PARAM_NAMES
 from .particles import (
+    InferenceError,
     ParticleCloud,
     PosteriorSummary,
     PriorSpec,
@@ -58,17 +59,17 @@ GYROMAGNETIC_RAD_PER_S_PER_T = 2.0 * math.pi * 28e9
 DEFAULT_EPOCH_MS_TAU_RANDOM = 4.0
 DEFAULT_EPOCH_MS_BAYES = {"omega-only": 4.4, "all-four": 13.0}
 
-DEFAULT_OMEGA_BOUNDS = (1.0, 60.0)
-DEFAULT_FOUR_UNKNOWN_BOUNDS = {
+# Engineering-default uniform prior bounds; the paper states none.
+PRIOR_BOUNDS = {
     "a": (0.4, 1.2),
     "c": (0.02, 0.3),
-    "omega0": DEFAULT_OMEGA_BOUNDS,
+    "omega0": (1.0, 60.0),
     "t2": (2.0, 30.0),
 }
 
 
 class RunError(RuntimeError):
-    """A run produced a non-finite posterior and was aborted."""
+    """A run's posterior became degenerate or non-finite; the run was aborted."""
 
 
 @dataclass(frozen=True)
@@ -202,26 +203,23 @@ def snr_epoch_time_us(truth: TruthConfig, tau_us: float = 10.0) -> float:
 def default_prior(
     unknowns: str,
     truth: TruthConfig,
-    n_particles: int = 50_000,
-    resample_threshold: float = 0.5,
-    shrinkage: float = 0.98,
+    bounds: dict[str, tuple[float, float]] | None = None,
+    **tuning,
 ) -> PriorSpec:
-    """Engineering-default priors; known coordinates pin to truth."""
-    p = truth.params
-    if unknowns == "omega-only":
-        bounds = {"omega0": DEFAULT_OMEGA_BOUNDS}
-        fixed = {"a": p.a, "c": p.c, "t2": p.t2}
-    elif unknowns == "all-four":
-        bounds = dict(DEFAULT_FOUR_UNKNOWN_BOUNDS)
-        fixed = {}
-    else:
+    """Uniform prior over the unknowns; known coordinates pin to truth.
+
+    ``bounds`` replaces entries of PRIOR_BOUNDS; ``tuning`` passes the
+    filter knobs (n_particles, resample_threshold, shrinkage) through to
+    PriorSpec, whose defaults apply otherwise.
+    """
+    if unknowns not in UNKNOWN_MODES:
         raise ValueError(f"unknowns must be one of {UNKNOWN_MODES}")
+    table = {**PRIOR_BOUNDS, **(bounds or {})}
+    names = ("omega0",) if unknowns == "omega-only" else PARAM_NAMES
     return PriorSpec(
-        bounds=bounds,
-        fixed=fixed,
-        n_particles=n_particles,
-        resample_threshold=resample_threshold,
-        shrinkage=shrinkage,
+        bounds={n: table[n] for n in names},
+        fixed={n: getattr(truth.params, n) for n in PARAM_NAMES if n not in names},
+        **tuning,
     )
 
 
@@ -248,6 +246,7 @@ def _design(
     run: RunConfig,
     truth: TruthConfig,
     cloud: ParticleCloud,
+    summary: PosteriorSummary | None,
     window: _BackgroundWindow,
     tau_config: TauConfig,
     rng: np.random.Generator,
@@ -255,8 +254,7 @@ def _design(
     if run.protocol == "random":
         return random_design(run.grid, rng)
     if run.protocol == "tau":
-        sigma = summarize(cloud).std["omega0"]
-        return tau_design(sigma, tau_config, run.grid, rng)
+        return tau_design(summary.std["omega0"], tau_config, run.grid, rng)
     # Bayes: needs a background-rate estimate; before any data exists
     # the posterior is the bare prior and the first pick is random.
     if window.m_b == 0:
@@ -287,14 +285,24 @@ def _design(
     return tau
 
 
-def _check_summary(summary: PosteriorSummary, run: RunConfig, epoch: int):
+def _epoch_step(
+    cloud: ParticleCloud, data: EpochData, tau: float, nu: float, where: str
+) -> PosteriorSummary:
+    """Absorb one epoch's data: update, resample, summarize, check.
+
+    Failures raise RunError naming ``where`` (epoch, seed and protocol).
+    """
+    try:
+        bayes_update(cloud, data, tau, nu)
+    except InferenceError as exc:
+        raise RunError(f"{exc} at {where}") from exc
+    resample_if_needed(cloud)
+    summary = summarize(cloud)
     for d in (summary.mean, summary.std):
         for name, value in d.items():
             if not math.isfinite(value):
-                raise RunError(
-                    f"non-finite posterior {name} at epoch {epoch} "
-                    f"(seed {run.seed}, protocol {run.protocol})"
-                )
+                raise RunError(f"non-finite posterior {name} at {where}")
+    return summary
 
 
 def run_single(
@@ -320,6 +328,9 @@ def run_single(
 
     rng = np.random.default_rng(run.seed)
     cloud = init_prior(prior, rng)
+    # Tau designs from the newest posterior sigma: the prior's is taken
+    # here, every later one comes from the epoch step
+    summary = summarize(cloud) if run.protocol == "tau" else None
     nu = run.background_prior_exponent
     alloc_ns = round(alloc_ms * 1e6)
     concurrent = run.workflow != "series"
@@ -333,8 +344,13 @@ def run_single(
     cum_seq = 0
     last_data_epoch = -1
 
+    def absorb(data, tau, epoch):
+        nonlocal summary
+        where = f"epoch {epoch} (seed {run.seed}, protocol {run.protocol})"
+        summary = records[epoch].summary = _epoch_step(cloud, data, tau, nu, where)
+
     # the first setting is designed from the bare prior before the clock starts
-    next_tau = _design(run, truth, cloud, window, tau_config, rng)
+    next_tau = _design(run, truth, cloud, summary, window, tau_config, rng)
     next_from = -1
 
     epoch = 0
@@ -350,14 +366,10 @@ def run_single(
             # inference+design runs during this epoch's measurement
             t0 = time.perf_counter()
             if pending is not None:
-                data, tau_prev, ep_prev = pending
-                bayes_update(cloud, data, tau_prev, nu)
-                resample_if_needed(cloud)
-                records[ep_prev].summary = summarize(cloud)
-                _check_summary(records[ep_prev].summary, run, ep_prev)
-                last_data_epoch = ep_prev
+                absorb(*pending)
+                last_data_epoch = pending[2]
                 pending = None
-            next_tau = _design(run, truth, cloud, window, tau_config, rng)
+            next_tau = _design(run, truth, cloud, summary, window, tau_config, rng)
             next_from = last_data_epoch
             t_calc = time.perf_counter() - t0
             if deterministic:
@@ -395,16 +407,14 @@ def run_single(
             t_calc_s=t_calc_rec,
             design_from_epoch=from_i,
         )
+        records.append(rec)
 
         if concurrent:
             pending = (data, tau_i, epoch)
         else:
             t0 = time.perf_counter()
-            bayes_update(cloud, data, tau_i, nu)
-            resample_if_needed(cloud)
-            rec.summary = summarize(cloud)
-            _check_summary(rec.summary, run, epoch)
-            next_tau = _design(run, truth, cloud, window, tau_config, rng)
+            absorb(data, tau_i, epoch)
+            next_tau = _design(run, truth, cloud, summary, window, tau_config, rng)
             next_from = epoch
             t_calc = time.perf_counter() - t0
             rec.t_calc_s = t_calc
@@ -413,15 +423,10 @@ def run_single(
                 t_lab_ns += round(t_calc * 1e9)
                 rec.t_lab_ns = t_lab_ns
 
-        records.append(rec)
         epoch += 1
 
     if pending is not None:
-        data, tau_prev, ep_prev = pending
-        bayes_update(cloud, data, tau_prev, nu)
-        resample_if_needed(cloud)
-        records[ep_prev].summary = summarize(cloud)
-        _check_summary(records[ep_prev].summary, run, ep_prev)
+        absorb(*pending)
 
     return RunTrace(
         run_id=run.run_id,
@@ -586,7 +591,7 @@ def tau_scaling_experiment(
     prior: PriorSpec | None = None,
     tau_config: TauConfig | None = None,
     grid: SettingGrid | None = None,
-    background_window: int = 20,
+    background_window: int = RunConfig.background_window,
 ) -> TauScalingReport:
     """Idealized Tau-protocol scaling: fixed repeats, zero overhead.
 
@@ -616,7 +621,7 @@ def tau_scaling_experiment(
     log_sigma_all = []
     log_t_all = []
     betas = []
-    for run_idx, run_seed in enumerate(derived_seeds(seed, n_runs)):
+    for run_seed in derived_seeds(seed, n_runs):
         rng = np.random.default_rng(run_seed)
         cloud = init_prior(prior, rng)
         window = _BackgroundWindow(background_window)
@@ -630,9 +635,8 @@ def tau_scaling_experiment(
             outcome = simulate_epoch(truth, tau, repeats_per_epoch, total_tau_us, rng)
             window.push(outcome.n_b, repeats_per_epoch)
             data = EpochData(outcome.n_s, repeats_per_epoch, window.n_b, window.m_b)
-            bayes_update(cloud, data, tau)
-            resample_if_needed(cloud)
-            sigma = summarize(cloud).std["omega0"]
+            where = f"epoch {k} (seed {run_seed}, protocol tau)"
+            sigma = _epoch_step(cloud, data, tau, -1.0, where).std["omega0"]
             total_tau_us += repeats_per_epoch * tau
             taus[k] = tau
             sigmas[k] = sigma
@@ -644,11 +648,18 @@ def tau_scaling_experiment(
         ratios = sigmas[1:] / sigmas[:-1]
         betas.append(float(ratios[mid].mean()))
 
-    fit = sstats.linregress(np.concatenate(log_t_all), np.concatenate(log_sigma_all))
-    half = 1.96 * fit.stderr
+    # ordinary least squares of log sigma on log t, with the slope's
+    # standard error from the residuals
+    x = np.concatenate(log_t_all)
+    y = np.concatenate(log_sigma_all)
+    dx = x - x.mean()
+    dy = y - y.mean()
+    slope = float(dx @ dy / (dx @ dx))
+    resid = dy - slope * dx
+    half = 1.96 * math.sqrt(resid @ resid / (len(x) - 2) / (dx @ dx))
     return TauScalingReport(
         runs=runs,
-        slope=float(fit.slope),
-        slope_ci=(float(fit.slope - half), float(fit.slope + half)),
+        slope=slope,
+        slope_ci=(slope - half, slope + half),
         beta=float(np.mean(betas)),
     )

@@ -1,8 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import ramseydesign
 from ramseydesign.cli import main
 from ramseydesign.config import SEED_ENV_VAR, ConfigError, parse_config
 from ramseydesign.output import read_trace
@@ -92,6 +98,19 @@ class TestParseConfig:
         echo_path.write_text(cfg.echo())
         assert parse_config(echo_path) == cfg
 
+    def test_echo_keeps_bounds_of_known_params(self, tmp_path):
+        # omega-only runs use only the omega0 bounds; the echo still
+        # records what was configured for the others
+        path = tmp_path / "cfg.txt"
+        path.write_text("prior.a_min = 0.5\n")
+        cfg = parse_config(path)
+        assert "prior.a_min = 0.5\n" in cfg.echo()
+        echo_path = tmp_path / "echo.txt"
+        echo_path.write_text(cfg.echo())
+        back = parse_config(echo_path)
+        assert back == cfg
+        assert back.echo() == cfg.echo()
+
     def test_omega_only_pins_known_params_to_truth(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("truth.a = 0.9\n")
@@ -155,6 +174,18 @@ class TestCli:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_inference_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(
+            "ramseydesign.particles.log_likelihood_general",
+            lambda n_s, m_s, n_b, m_b, r, nu=-1.0: np.full(np.shape(r), np.nan),
+        )
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(FAST_RUN)
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "x"), "--seed", "4"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "run error" in err and "seed 4" in err
+
     def test_unknown_flag_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--nope", "--out", str(tmp_path / "x")])
@@ -199,3 +230,17 @@ class TestCli:
         assert manifest["beta"] < 1.0
         assert "slope" in manifest
         assert (out / "tau_scaling.csv").exists()
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy is a test-only dependency
+    code = (
+        "import sys, ramseydesign.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    path = [str(Path(ramseydesign.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -1,0 +1,195 @@
+"""Byte-level pins of the program's outputs.
+
+Each test hashes one output file (or the echoed configuration) of a
+small, seeded, bit-reproducible run and compares it with a recorded
+SHA-256 digest. A change that only restructures code must leave every
+digest as it is. Re-record only for a change meant to alter outputs:
+
+    PYTHONPATH=src python tests/test_golden.py
+
+prints the current digests in the layout of the tables below.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import platform
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from ramseydesign.cli import main
+from ramseydesign.config import SEED_ENV_VAR, parse_config
+from ramseydesign.instrument import TruthConfig
+from ramseydesign.output import write_batch, write_trace
+from ramseydesign.runner import RunConfig, run_batch, run_single
+
+# Trace floats depend on numpy's random streams and the platform's libm;
+# the file digests hold for this numpy version on this architecture.
+RECORDED_ON = ("2.4.6", "x86_64")
+
+# The benchmark's workload configurations (perfbench/run.py), copied.
+DESIGN_CONFIG = {
+    "run.workflow": "concurrent",
+    "run.epochs": "101",
+    "prior.particles": "10000",
+}
+FILTER_CONFIG = {
+    "run.workflow": "concurrent",
+    "run.lab_time_s": "1",
+    "run.epoch_time_ms": "4",
+    "prior.particles": "20000",
+    "prior.omega0_min": "9.3",
+    "prior.omega0_max": "9.5",
+    "prior.shrinkage": "0.995",
+    "truth.t2_us": "inf",
+    "batch.runs": "8",
+    "batch.workers": "2",
+}
+
+ECHO_CASES = {
+    "default": {},
+    "design-omega": DESIGN_CONFIG,
+    "design-four": {**DESIGN_CONFIG, "run.unknowns": "all-four"},
+    "filter-batch": FILTER_CONFIG,
+}
+
+# name -> (config overrides, RunConfig.design_particles); every run uses
+# the default concurrent-deterministic workflow
+TRACE_CASES = {
+    "bayes-omega": ({"run.epochs": "25", "prior.particles": "1000"}, 0),
+    "bayes-omega-subsample": ({"run.epochs": "25", "prior.particles": "2000"}, 500),
+    "bayes-four": (
+        {"run.unknowns": "all-four", "run.epochs": "12", "prior.particles": "1000"},
+        0,
+    ),
+    # Tau priors narrow enough that tau = h/sigma lies inside the grid
+    "tau-epochs": (
+        {
+            "run.protocol": "tau",
+            "run.epochs": "40",
+            "prior.particles": "1000",
+            "prior.omega0_min": "8",
+            "prior.omega0_max": "11",
+        },
+        0,
+    ),
+    "tau-lab-time": (
+        {
+            "run.protocol": "tau",
+            "run.lab_time_s": "0.1",
+            "prior.particles": "1000",
+            "prior.omega0_min": "9.3",
+            "prior.omega0_max": "9.5",
+        },
+        0,
+    ),
+    "random": ({"run.protocol": "random", "run.epochs": "30", "prior.particles": "1000"}, 0),
+}
+
+ECHO_DIGESTS = {
+    "default": "57a456f8d5049bf3181ae8df24c7832f30bfbe36cf68abae09e08b7d5fd25812",
+    "design-omega": "5211e96947827a55d366189b9fa70c5251d13e871a33552e38518a270ce07955",
+    "design-four": "bc1091b73ced04fa29ca2e1042bd89622de74ca294358ca7bc6c18cba33383ca",
+    "filter-batch": "99691c539a8c193a91dfb9bd2c5ba2268717589169ca8ef4ac27742bb05b833a",
+}
+
+FILE_DIGESTS = {
+    "trace:bayes-omega": "92e727eab39eb6a297bdf79b413a01ab4dfcd442ec7f2cf65fa630c5a6d599c2",
+    "trace:bayes-omega-subsample": "46f1ac7c4317bfe1400c1469d32a32813621ace6c74508c6102ca76106d2a98d",
+    "trace:bayes-four": "f3b333f05ac9242e57a053aeee27341126bf7592254ca177b7e900ad4319e424",
+    "trace:tau-epochs": "ea745dae95e0164415011b078fe4e4851a74bbc07f41a0334137431207e619da",
+    "trace:tau-lab-time": "e86349c9131cc012f91232e70733e2f44b697638d55ef6dac91b14af98858978",
+    "trace:random": "c0c6be9af6c232d87f2d0831c68a5e9a75817abb4161602f881b28485fa2af80",
+    "trace:tau-default-prior": "a95fcff90fda0739b47b73366a3250afdd6a2d5a6ab49d6fb7dece1fccfb3d3e",
+    "batch": "bcc833ba90a8b6d0b25fc1a7d257d77b4a934430661af1a5a2599862602feaf9",
+    "scaling": "ee9ea1a2d66c1c4cdf1d61dd77a6130653fe3ae91e3fc2307d1b4b028c83ffaf",
+}
+
+SEED = "5"
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _config(overrides):
+    return parse_config(None, {"run.seed": SEED, **overrides})
+
+
+def _echo_digest(name) -> str:
+    return _sha(parse_config(None, ECHO_CASES[name]).echo().encode())
+
+
+def _trace_digest(name, out: Path) -> str:
+    if name == "tau-default-prior":
+        # no prior given: run_single builds the package-default one
+        trace = run_single(RunConfig(protocol="tau", epochs=6, seed=int(SEED)), TruthConfig())
+    else:
+        overrides, design_particles = TRACE_CASES[name]
+        cfg = _config(overrides)
+        run = replace(cfg.run, design_particles=design_particles)
+        trace = run_single(run, cfg.truth, cfg.prior, cfg.tau)
+    return _sha(write_trace(out / "trace.csv", trace).read_bytes())
+
+
+def _batch_digest(out: Path) -> str:
+    cfg = _config({"run.protocol": "tau", "run.epochs": "20", "prior.particles": "500"})
+    summary = run_batch(cfg.run, cfg.truth, 3, prior=cfg.prior, tau_config=cfg.tau)
+    return _sha(write_batch(out / "batch.csv", summary).read_bytes())
+
+
+def _scaling_digest(out: Path) -> str:
+    # through the CLI, which derives the idealized truth and prior
+    path = out / "scaling.txt"
+    path.write_text(
+        f"run.seed = {SEED}\nprior.particles = 500\n"
+        "scaling.repeats = 500\nscaling.epochs = 8\nscaling.runs = 2\n"
+    )
+    assert main(["tau-scaling", "--config", str(path), "--out", str(out)]) == 0
+    return _sha((out / "tau_scaling.csv").read_bytes())
+
+
+def _file_digest(key, out: Path) -> str:
+    kind, _, name = key.partition(":")
+    if kind == "trace":
+        return _trace_digest(name, out)
+    if kind == "batch":
+        return _batch_digest(out)
+    return _scaling_digest(out)
+
+
+@pytest.fixture
+def no_seed_env(monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+
+
+@pytest.mark.parametrize("name", sorted(ECHO_DIGESTS))
+def test_echo_bytes(name, no_seed_env):
+    # pure text formatting: independent of numpy and the platform
+    assert _echo_digest(name) == ECHO_DIGESTS[name]
+
+
+@pytest.mark.parametrize("key", sorted(FILE_DIGESTS))
+def test_output_bytes(key, tmp_path, no_seed_env):
+    here = (np.__version__, platform.machine())
+    if here != RECORDED_ON:
+        pytest.skip(f"digests recorded with numpy {RECORDED_ON[0]} on {RECORDED_ON[1]}; "
+                    f"this is numpy {here[0]} on {here[1]}")
+    assert _file_digest(key, tmp_path) == FILE_DIGESTS[key]
+
+
+if __name__ == "__main__":
+    print(f"RECORDED_ON = {(np.__version__, platform.machine())!r}")
+    print("ECHO_DIGESTS = {")
+    for name in ECHO_DIGESTS:
+        print(f'    "{name}": "{_echo_digest(name)}",')
+    print("}")
+    print("FILE_DIGESTS = {")
+    for key in FILE_DIGESTS:
+        with tempfile.TemporaryDirectory() as tmp:
+            print(f'    "{key}": "{_file_digest(key, Path(tmp))}",')
+    print("}")

@@ -6,8 +6,10 @@ import pytest
 from ramseydesign.instrument import TruthConfig
 from ramseydesign.model import RamseyParams
 from ramseydesign.particles import PriorSpec
+from ramseydesign import runner
 from ramseydesign.runner import (
     RunConfig,
+    RunError,
     default_prior,
     derived_seeds,
     run_batch,
@@ -148,6 +150,44 @@ class TestRunSingle:
             run_single(cfg, TruthConfig(), small_prior())
 
 
+    @pytest.mark.parametrize("workflow", ["series", "concurrent-deterministic"])
+    def test_tau_summarizes_once_per_epoch(self, workflow, monkeypatch):
+        # the prior once, then each epoch step's summary feeds the next design
+        calls = []
+        original = runner.summarize
+
+        def counting(cloud):
+            calls.append(cloud)
+            return original(cloud)
+
+        monkeypatch.setattr(runner, "summarize", counting)
+        cfg = RunConfig(protocol="tau", epochs=7, seed=3, workflow=workflow)
+        run_single(cfg, TRUTH, small_prior())
+        assert len(calls) == 7 + 1
+
+
+@pytest.fixture
+def nan_likelihood(monkeypatch):
+    # every weight update meets a non-finite likelihood
+    monkeypatch.setattr(
+        "ramseydesign.particles.log_likelihood_general",
+        lambda n_s, m_s, n_b, m_b, r, nu=-1.0: np.full(np.shape(r), np.nan),
+    )
+
+
+class TestInferenceFailure:
+    def test_run_single_raises_run_error_naming_seed(self, nan_likelihood):
+        cfg = RunConfig(protocol="tau", epochs=3, seed=41)
+        with pytest.raises(RunError, match=r"at epoch 0 \(seed 41, protocol tau\)"):
+            run_single(cfg, TRUTH, small_prior())
+
+    def test_run_batch_names_seed(self, nan_likelihood):
+        cfg = RunConfig(protocol="random", epochs=3, seed=42)
+        first = derived_seeds(42, 2)[0]
+        with pytest.raises(RunError, match=f"batch aborted: .*seed {first}"):
+            run_batch(cfg, TRUTH, 2, prior=small_prior(), workers=1)
+
+
 class TestSensitivity:
     def test_unit_conversion(self):
         pt = sensitivity(1.0, 1.0)
@@ -248,3 +288,20 @@ class TestTauScaling:
                 target = 0.5 / sig
                 if 0.05 <= target <= 5000.0:
                     assert abs(tau - target) <= 0.025 + 1e-9
+
+    def test_slope_matches_least_squares_reference(self):
+        from scipy import stats
+
+        truth = TruthConfig(params=TRUTH.params, overhead_us=0.0)
+        report = tau_scaling_experiment(
+            truth, 20_000, 2, epochs=8, seed=4,
+            prior=default_prior("omega-only", truth, n_particles=1000),
+        )
+        x = np.log(np.concatenate([run.t_cum_us for run in report.runs]))
+        y = np.log(np.concatenate([run.sigma for run in report.runs]))
+        fit = stats.linregress(x, y)
+        half = 1.96 * fit.stderr
+        assert report.slope == pytest.approx(fit.slope, rel=1e-12)
+        assert report.slope_ci == pytest.approx(
+            (fit.slope - half, fit.slope + half), rel=1e-12
+        )
