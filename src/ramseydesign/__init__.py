@@ -17,6 +17,7 @@ from .particles import (
     PosteriorSummary,
     PriorSpec,
     bayes_update,
+    ci90,
     init_prior,
     resample_if_needed,
     summarize,
@@ -65,6 +66,7 @@ __all__ = [
     "background_rate",
     "bayes_design",
     "bayes_update",
+    "ci90",
     "default_prior",
     "expected_counts",
     "init_prior",

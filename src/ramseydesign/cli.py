@@ -20,8 +20,8 @@ from . import __version__
 from .config import ConfigError, ParsedConfig, parse_config
 from .demo import background_saturation, likelihood_inset
 from .output import write_batch, write_scaling, write_trace
-from .protocols import SettingGrid
 from .runner import (
+    SCALING_GRID,
     RunError,
     default_prior,
     run_batch,
@@ -206,7 +206,7 @@ def _cmd_scaling(args) -> int:
         params=dataclasses.replace(cfg.truth.params, t2=float("inf")),
         overhead_us=0.0,
     )
-    grid = SettingGrid(tau_min=0.05, tau_max=cfg.scaling.grid_max_us, step=0.05)
+    grid = dataclasses.replace(SCALING_GRID, tau_max=cfg.scaling.grid_max_us)
     prior = default_prior(
         "omega-only",
         truth,

@@ -18,11 +18,21 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .demo import SATURATION_EPOCHS, SATURATION_RUNS
 from .instrument import DRIFT_KINDS, DriftSpec, TruthConfig
 from .model import RamseyParams
 from .particles import PriorSpec
 from .protocols import SettingGrid, TauConfig
-from .runner import PRIOR_BOUNDS, PROTOCOLS, UNKNOWN_MODES, WORKFLOWS, RunConfig, default_prior
+from .runner import (
+    PRIOR_BOUNDS,
+    PROTOCOLS,
+    SCALING_EPOCHS,
+    SCALING_GRID,
+    UNKNOWN_MODES,
+    WORKFLOWS,
+    RunConfig,
+    default_prior,
+)
 
 SEED_ENV_VAR = "RAMSEY_DESIGN_SEED"
 
@@ -100,8 +110,8 @@ def _identity(x):
 # The paper's simulated instrument: TruthConfig's default parameters.
 _TRUTH = TruthConfig().params
 
-# key -> (parser, validator, default). Defaults that a dataclass already
-# sets are read from it.
+# key -> (parser, validator, default). Defaults that a dataclass or a
+# module constant already sets are read from it.
 SCHEMA: dict[str, tuple] = {
     "run.protocol": (_parse_choice(PROTOCOLS), _identity, RunConfig.protocol),
     "run.unknowns": (_parse_choice(UNKNOWN_MODES), _identity, RunConfig.unknowns),
@@ -131,7 +141,9 @@ SCHEMA: dict[str, tuple] = {
     "truth.drift_amplitude": (_parse_float, _identity, DriftSpec.amplitude),
     "truth.drift_period_s": (_parse_float, _positive, DriftSpec.period_s),
     "prior.particles": (_parse_int, _at_least(100), PriorSpec.n_particles),
-    "prior.resample_threshold": (_parse_float, _fraction, PriorSpec.resample_threshold),
+    "prior.resample_threshold": (
+        _parse_float, PriorSpec.check_resample_threshold, PriorSpec.resample_threshold,
+    ),
     "prior.shrinkage": (_parse_float, _fraction, PriorSpec.shrinkage),
     "prior.a_min": (_parse_float, _positive, PRIOR_BOUNDS["a"][0]),
     "prior.a_max": (_parse_float, _positive, PRIOR_BOUNDS["a"][1]),
@@ -143,12 +155,12 @@ SCHEMA: dict[str, tuple] = {
     "prior.t2_max_us": (_parse_float, _positive, PRIOR_BOUNDS["t2"][1]),
     "tau.h": (_parse_float, _positive, TauConfig.h),
     "tau.top_fraction": (_parse_float, _fraction, TauConfig.top_fraction),
-    "demo.saturation_runs": (_parse_int, _at_least(2), 10),
-    "demo.saturation_epochs": (_parse_int, _at_least(1), 220),
+    "demo.saturation_runs": (_parse_int, _at_least(2), SATURATION_RUNS),
+    "demo.saturation_epochs": (_parse_int, _at_least(1), SATURATION_EPOCHS),
     "scaling.repeats": (_parse_int, _at_least(1), 4000),
-    "scaling.epochs": (_parse_int, _at_least(5), 50),
+    "scaling.epochs": (_parse_int, _at_least(5), SCALING_EPOCHS),
     "scaling.runs": (_parse_int, _at_least(1), 10),
-    "scaling.grid_max_us": (_parse_float, _positive, 5000.0),
+    "scaling.grid_max_us": (_parse_float, _positive, SCALING_GRID.tau_max),
 }
 
 # fallback when neither run.epochs nor run.lab_time_s is given

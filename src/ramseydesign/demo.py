@@ -28,6 +28,10 @@ INSET_RATE = 0.15
 INSET_RATIOS = (1, 10, 100, 1000)
 R_GRID_STEP = 0.005
 
+# Saturation study: runs per window arm and epochs per run.
+SATURATION_RUNS = 10
+SATURATION_EPOCHS = 220
+
 
 def likelihood_inset(
     ratios=INSET_RATIOS,
@@ -64,8 +68,8 @@ class SaturationPoint:
 def background_saturation(
     truth: TruthConfig,
     window_ratios=(1, 10, 100),
-    runs: int = 10,
-    epochs: int = 220,
+    runs: int = SATURATION_RUNS,
+    epochs: int = SATURATION_EPOCHS,
     seed: int = 1,
     n_particles: int = 1500,
     workers: int = 1,

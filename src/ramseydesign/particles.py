@@ -51,10 +51,16 @@ class PriorSpec:
                 raise ValueError(f"prior bounds for {name} must satisfy lower < upper")
         if self.n_particles < 100:
             raise ValueError("particle count must be >= 100")
-        if not 0.0 < self.resample_threshold < 1.0:
-            raise ValueError("resample threshold must lie in (0, 1)")
+        self.check_resample_threshold(self.resample_threshold)
         if not 0.0 < self.shrinkage <= 1.0:
             raise ValueError("shrinkage must lie in (0, 1]")
+
+    @staticmethod
+    def check_resample_threshold(x: float) -> float:
+        """Return ``x`` if it is a valid ESS fraction, in the open interval (0, 1)."""
+        if not 0.0 < x < 1.0:
+            raise ValueError("resample threshold must lie in (0, 1)")
+        return x
 
     @property
     def unknown(self) -> tuple[str, ...]:
@@ -63,11 +69,10 @@ class PriorSpec:
 
 @dataclass(frozen=True)
 class PosteriorSummary:
-    """Weighted mean, std and central 90 % interval per unknown."""
+    """Weighted mean and std per unknown."""
 
     mean: dict[str, float]
     std: dict[str, float]
-    ci90: dict[str, tuple[float, float]]
 
 
 @dataclass
@@ -130,25 +135,11 @@ def init_prior(spec: PriorSpec, seed) -> ParticleCloud:
     )
 
 
-def cloud_ratios(cloud: ParticleCloud, tau) -> np.ndarray:
-    """Model ratio per particle at setting ``tau``.
-
-    With array ``tau`` of shape (G,) the result is (N, G).
-    """
-    tau = np.asarray(tau, dtype=float)
-    a = cloud.column("a")
-    c = cloud.column("c")
-    omega0 = cloud.column("omega0")
-    t2 = cloud.column("t2")
-    if tau.ndim == 0:
-        return ratio_arrays(a, c, omega0, t2, tau)
-    # broadcast particles against settings; share constant columns to
-    # avoid needless (N, G) transcendentals
-    def col(x):
-        return x[:1, None] if np.all(x == x[0]) else x[:, None]
-
-    out = ratio_arrays(col(a), col(c), col(omega0), col(t2), tau[None, :])
-    return np.broadcast_to(out, (cloud.n_particles, tau.size))
+def cloud_ratios(cloud: ParticleCloud, tau: float) -> np.ndarray:
+    """Model ratio per particle at setting ``tau``."""
+    return ratio_arrays(
+        cloud.column("a"), cloud.column("c"), cloud.column("omega0"), cloud.column("t2"), tau
+    )
 
 
 def bayes_update(
@@ -221,26 +212,31 @@ def resample_if_needed(cloud: ParticleCloud) -> ParticleCloud:
     return cloud
 
 
-def _weighted_quantiles(x: np.ndarray, w: np.ndarray, qs) -> np.ndarray:
-    order = np.argsort(x)
-    xs = x[order]
-    cw = np.cumsum(w[order])
-    # midpoint convention: particle i sits at cumulative weight cw_i - w_i/2
-    mid = cw - 0.5 * w[order]
-    return np.interp(qs, mid, xs)
-
-
 def summarize(cloud: ParticleCloud) -> PosteriorSummary:
-    """Weighted mean, std and 5th/95th percentile interval per unknown."""
+    """Weighted mean and std per unknown."""
     mean: dict[str, float] = {}
     std: dict[str, float] = {}
-    ci90: dict[str, tuple[float, float]] = {}
     for name in cloud.unknown:
         x = cloud.column(name)
         m = float(np.dot(cloud.weights, x))
         v = float(np.dot(cloud.weights, np.square(x - m)))
-        lo, hi = _weighted_quantiles(x, cloud.weights, (0.05, 0.95))
         mean[name] = m
         std[name] = np.sqrt(max(v, 0.0))
-        ci90[name] = (float(lo), float(hi))
-    return PosteriorSummary(mean=mean, std=std, ci90=ci90)
+    return PosteriorSummary(mean=mean, std=std)
+
+
+def ci90(cloud: ParticleCloud) -> dict[str, tuple[float, float]]:
+    """Weighted 5th/95th percentile interval per unknown.
+
+    Sorts every unknown's column, so it is kept out of the per-epoch
+    summary and taken only where an interval is read.
+    """
+    out = {}
+    for name in cloud.unknown:
+        x = cloud.column(name)
+        order = np.argsort(x)
+        w = cloud.weights[order]
+        # midpoint convention: particle i sits at cumulative weight cw_i - w_i/2
+        lo, hi = np.interp((0.05, 0.95), np.cumsum(w) - 0.5 * w, x[order])
+        out[name] = (float(lo), float(hi))
+    return out

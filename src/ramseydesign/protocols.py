@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .particles import ParticleCloud, cloud_ratios
+from .particles import ParticleCloud
 
 # Utility values within this absolute distance of the maximum count as
 # ties and are broken uniformly at random.
@@ -107,13 +107,51 @@ def utility_map(
         mean_r = base + amp * s1
         var_r = np.square(amp) * np.maximum(s2 - np.square(s1), 0.0)
     else:
-        r = cloud_ratios(cloud, taus)
-        mean_r = w @ r
-        var_r = np.maximum(w @ np.square(r) - np.square(mean_r), 0.0)
+        mean_r, var_r = _ratio_moments(w, a, c, omega0, t2, grid)
     u = np.log1p(lambda_b_estimate * var_r / mean_r)
     if overhead_us is not None:
         u = u / (taus + overhead_us)
     return u
+
+
+def _ratio_moments(w, a, c, omega0, t2, grid: SettingGrid):
+    """Weighted mean and variance of R over the particles at every setting.
+
+    With b = ceil(sqrt(G)) each setting is tau_k = tau_min + step*(b*p + q),
+    so cos(omega*tau_k) follows by angle addition from per-particle
+    cos/sin tables of omega*(tau_min + step*b*p) and omega*step*q:
+    N*(b + ceil(G/b)) sincos instead of N*G cosines. The settings are
+    then scored one block of b at a time, so the working set is N*b;
+    the variance is taken in two passes about the mean.
+    """
+    n_set = len(grid)
+    b = math.isqrt(n_set - 1) + 1
+    n_blocks = -(-n_set // b)
+    # (setting, particle) layout: per-particle factors broadcast along rows
+    phase_q = np.multiply.outer(grid.step * np.arange(b), omega0)
+    cos_q, sin_q = np.cos(phase_q), np.sin(phase_q)
+    phase_p = np.multiply.outer(grid.tau_min + grid.step * b * np.arange(n_blocks), omega0)
+    cos_p, sin_p = np.cos(phase_p), np.sin(phase_p)
+    taus_sq = np.square(grid.taus)
+    amp = 0.5 * a * c
+    decay = -1.0 / np.square(t2)  # 0 for t2 = inf: no envelope
+    mean_r = np.empty(n_set)
+    var_r = np.empty(n_set)
+    for p in range(n_blocks):
+        k = slice(p * b, min(p * b + b, n_set))
+        width = k.stop - k.start
+        r = cos_p[p] * cos_q[:width]
+        r -= sin_p[p] * sin_q[:width]
+        r += 1.0
+        r *= np.exp(np.multiply.outer(taus_sq[k], decay))
+        r *= amp
+        r += a
+        m = r @ w
+        r -= m[:, None]
+        np.square(r, out=r)
+        mean_r[k] = m
+        var_r[k] = r @ w
+    return mean_r, var_r
 
 
 def select_setting(

@@ -40,6 +40,7 @@ from .particles import (
     PosteriorSummary,
     PriorSpec,
     bayes_update,
+    ci90,
     init_prior,
     resample_if_needed,
     summarize,
@@ -66,6 +67,13 @@ PRIOR_BOUNDS = {
     "omega0": (1.0, 60.0),
     "t2": (2.0, 30.0),
 }
+
+
+# Idealized Tau-scaling study: epochs per run, and the standard grid's
+# 50 ns spacing extended far beyond 20 us, since tau = h/sigma leaves the
+# standard grid once sigma < h/20.
+SCALING_EPOCHS = 50
+SCALING_GRID = SettingGrid(tau_min=0.05, tau_max=5000.0, step=0.05)
 
 
 class RunError(RuntimeError):
@@ -147,7 +155,7 @@ class EpochRecord:
 
 @dataclass
 class RunTrace:
-    """Per-epoch time series of one run."""
+    """Per-epoch time series of one run, plus its final posterior's interval."""
 
     run_id: int
     protocol: str
@@ -156,6 +164,7 @@ class RunTrace:
     seed: int
     truth: TruthConfig
     records: list[EpochRecord]
+    final_ci90: dict[str, tuple[float, float]]
 
     def field_array(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.records])
@@ -436,6 +445,7 @@ def run_single(
         seed=run.seed,
         truth=truth,
         records=records,
+        final_ci90=ci90(cloud),
     )
 
 
@@ -586,7 +596,7 @@ def tau_scaling_experiment(
     truth: TruthConfig,
     repeats_per_epoch: int,
     n_runs: int,
-    epochs: int = 50,
+    epochs: int = SCALING_EPOCHS,
     seed: int = 1,
     prior: PriorSpec | None = None,
     tau_config: TauConfig | None = None,
@@ -609,9 +619,7 @@ def tau_scaling_experiment(
     if epochs < 5:
         raise ValueError("scaling fit needs at least 5 epochs")
     if grid is None:
-        # same 50 ns spacing, extended far beyond 20 us: the construction
-        # tau = h/sigma leaves the standard grid once sigma < h/20
-        grid = SettingGrid(tau_min=0.05, tau_max=5000.0, step=0.05)
+        grid = SCALING_GRID
     if tau_config is None:
         tau_config = TauConfig()
     if prior is None:

@@ -18,6 +18,8 @@ from ramseydesign.likelihood import EpochData, log_likelihood, marginal_likeliho
 from ramseydesign.output import write_trace
 from ramseydesign.runner import tau_scaling_experiment
 
+pytestmark = pytest.mark.slow
+
 WORKERS = 2
 
 TRUTH_SINGLE = rd.TruthConfig(
@@ -308,7 +310,7 @@ def test_criterion_8_calibration_and_biased_prior_exponent():
     within4 = 0
     for trace in cal.traces:
         final = trace.records[-1].summary
-        lo, hi = final.ci90["omega0"]
+        lo, hi = trace.final_ci90["omega0"]
         covered += int(lo <= 9.4 <= hi)
         within4 += int(abs(final.mean["omega0"] - 9.4) <= 4.0 * final.std["omega0"])
     coverage = covered / CAL_RUNS

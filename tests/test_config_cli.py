@@ -174,6 +174,13 @@ class TestCli:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_resample_threshold_one_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.txt"
+        cfg.write_text("run.epochs = 2\nprior.resample_threshold = 1\n")
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert f"{cfg}:2: prior.resample_threshold" in capsys.readouterr().err
+
     def test_inference_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(
             "ramseydesign.particles.log_likelihood_general",

@@ -9,6 +9,7 @@ from ramseydesign.particles import (
     ParticleCloud,
     PriorSpec,
     bayes_update,
+    ci90,
     init_prior,
     resample_if_needed,
     summarize,
@@ -176,7 +177,7 @@ class TestSummarize:
         cloud = two_particle_cloud([9.4, 9.4], [0.3, 0.7])
         s = summarize(cloud)
         assert s.std["omega0"] == 0.0
-        lo, hi = s.ci90["omega0"]
+        lo, hi = ci90(cloud)["omega0"]
         assert lo == hi == pytest.approx(9.4)
 
     def test_uniform_interval(self):
@@ -184,8 +185,7 @@ class TestSummarize:
         spec = omega_prior(n=n, lo=0.0 + 1e-12, hi=1.0)
         cloud = init_prior(spec, seed=14)
         cloud.values[:, 2] = np.linspace(0.0, 1.0, n)
-        s = summarize(cloud)
-        lo, hi = s.ci90["omega0"]
+        lo, hi = ci90(cloud)["omega0"]
         spacing = 1.0 / (n - 1)
         assert lo == pytest.approx(0.05, abs=2 * spacing)
         assert hi == pytest.approx(0.95, abs=2 * spacing)
