@@ -119,7 +119,7 @@ SCHEMA: dict[str, tuple] = {
     "run.lab_time_s": (_parse_float, _positive, None),
     "run.epoch_time_ms": (_parse_float, _positive, None),
     "run.background_window": (_parse_int, _at_least(1), RunConfig.background_window),
-    "run.seed": (_parse_int, _identity, None),
+    "run.seed": (_parse_int, _non_negative, None),
     "run.workflow": (_parse_choice(WORKFLOWS), _identity, RunConfig.workflow),
     "run.selection": (_parse_choice(("argmax", "softmax")), _identity, RunConfig.selection),
     "run.softmax_scale": (_parse_float, _positive, RunConfig.softmax_scale),
@@ -263,10 +263,10 @@ def parse_config(path=None, overrides: dict[str, str] | None = None) -> ParsedCo
         env = os.environ.get(SEED_ENV_VAR)
         if env is not None:
             try:
-                values["run.seed"] = int(env)
-            except ValueError:
+                values["run.seed"] = _non_negative(_parse_int(env))
+            except ValueError as exc:
                 raise ConfigError(
-                    f"environment variable {SEED_ENV_VAR}={env!r} is not an integer"
+                    f"environment variable {SEED_ENV_VAR}={env!r}: {exc}"
                 ) from None
         else:
             values["run.seed"] = RunConfig.seed

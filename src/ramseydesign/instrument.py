@@ -57,8 +57,8 @@ class TruthConfig:
         if self.overhead_us < 0:
             raise ValueError("overhead must be >= 0")
         # reject drifts that could drive the rate to zero or below
-        if self.drift.kind == "sinusoidal" and self.drift.amplitude >= self.lambda_b0:
-            raise ValueError("sinusoidal drift amplitude must stay below lambda_b0")
+        if self.drift.kind == "sinusoidal" and abs(self.drift.amplitude) >= self.lambda_b0:
+            raise ValueError("sinusoidal drift |amplitude| must stay below lambda_b0")
         if self.drift.kind == "linear" and self.lambda_b0 + min(0.0, self.drift.amplitude) <= 0:
             raise ValueError("linear drift would drive the background rate to zero")
 

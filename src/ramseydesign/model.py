@@ -55,9 +55,6 @@ class RamseyParams:
         if not self.t2 > 0:
             raise ValueError(f"t2 must be > 0 or infinite, got {self.t2}")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.a, self.c, self.omega0, self.t2], dtype=float)
-
 
 def ratio_arrays(a, c, omega0, t2, tau):
     """Ratio model evaluated with numpy broadcasting.

@@ -12,14 +12,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import PARAM_NAMES
-from .particles import ParticleCloud
 from .runner import (
-    GYROMAGNETIC_RAD_PER_S_PER_T,
     BatchGridStats,
     BatchSummary,
     RunTrace,
     TauScalingReport,
+    field_units,
 )
 
 TRACE_COLUMNS = (
@@ -84,8 +82,8 @@ def write_trace(path, trace: RunTrace) -> Path:
                     stats[name] = (rec.summary.mean[name], rec.summary.std[name])
                 else:
                     stats[name] = (truth[name], 0.0)
-            sigma_b = stats["omega0"][1] * 1e6 / GYROMAGNETIC_RAD_PER_S_PER_T
             t_lab_s = rec.t_lab_ns * 1e-9
+            sigma_b, eta2 = field_units(stats["omega0"][1], t_lab_s)
             w.writerow(
                 [
                     trace.run_id,
@@ -108,7 +106,7 @@ def write_trace(path, trace: RunTrace) -> Path:
                     _fmt(stats["t2"][0]),
                     _fmt(stats["t2"][1]),
                     _fmt(sigma_b),
-                    _fmt(sigma_b * sigma_b * t_lab_s),
+                    _fmt(eta2),
                 ]
             )
     return path
@@ -175,36 +173,6 @@ def read_batch(path) -> dict[str, BatchGridStats]:
             mean_eta2=cols["mean_eta2"][sel],
         )
     return out
-
-
-def write_utility_map(path, taus, utilities) -> Path:
-    """Per-setting diagnostic rows (setting, utility)."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("tau_us", "utility"))
-        for t, u in zip(taus, utilities):
-            w.writerow((_fmt(t), _fmt(u)))
-    return path
-
-
-def read_utility_map(path) -> dict[str, np.ndarray]:
-    return _read_csv(path, ("tau_us", "utility"))
-
-
-def write_cloud(path, cloud: ParticleCloud) -> Path:
-    """Cloud snapshot, one particle per row: coordinates + weight."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow((*PARAM_NAMES, "weight"))
-        for row in cloud.to_table():
-            w.writerow([_fmt(v) for v in row])
-    return path
-
-
-def read_cloud(path) -> dict[str, np.ndarray]:
-    return _read_csv(path, (*PARAM_NAMES, "weight"))
 
 
 def write_scaling(path, report: TauScalingReport) -> Path:

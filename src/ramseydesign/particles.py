@@ -102,10 +102,6 @@ class ParticleCloud:
     def ess(self) -> float:
         return 1.0 / float(np.sum(np.square(self.weights)))
 
-    def to_table(self) -> np.ndarray:
-        """Snapshot as one particle per row: a, c, omega0, t2, weight."""
-        return np.column_stack([self.values, self.weights])
-
 
 def init_prior(spec: PriorSpec, seed) -> ParticleCloud:
     """Draw the prior cloud: uniform within bounds, uniform weights.

@@ -2,8 +2,9 @@
 
 All three pick the next precession time from a discrete grid. The Bayes
 protocol scores every setting with an information-gain proxy per unit
-lab time; Tau applies tau = h / sigma_omega with a fallback to the top
-of the grid; Random draws uniformly.
+lab time, from the cloud's ratio moments computed by one blocked kernel
+for any set of unknowns; Tau applies tau = h / sigma_omega with a
+fallback to the top of the grid; Random draws uniformly.
 """
 
 from __future__ import annotations
@@ -81,36 +82,23 @@ def utility_map(
     with mean(y) standing in for the Poisson measurement variance,
     divided by the per-sequence duration tau + overhead when
     ``overhead_us`` is given (lab time is the valued resource). This is
-    a documented proxy, not a closed-form entropy reduction.
+    a documented proxy, not a closed-form entropy reduction. The moments
+    of R come from ``_ratio_moments`` whichever parameters the cloud
+    holds fixed.
     """
     if lambda_b_estimate <= 0:
         raise ValueError("lambda_b_estimate must be > 0")
-    taus = grid.taus
-    w = cloud.weights
-    a = cloud.column("a")
-    c = cloud.column("c")
-    omega0 = cloud.column("omega0")
-    t2 = cloud.column("t2")
-    if (
-        np.all(a == a[0])
-        and np.all(c == c[0])
-        and np.all(t2 == t2[0])
-    ):
-        # frequency-only spread: R = base + amp(tau) * cos(omega tau),
-        # so the weighted moments need only two cosine reductions
-        envelope = np.exp(-np.square(taus / t2[0]))
-        amp = 0.5 * a[0] * c[0] * envelope
-        base = a[0] + amp
-        cosm = np.cos(np.outer(omega0, taus))
-        s1 = w @ cosm
-        s2 = w @ np.square(cosm)
-        mean_r = base + amp * s1
-        var_r = np.square(amp) * np.maximum(s2 - np.square(s1), 0.0)
-    else:
-        mean_r, var_r = _ratio_moments(w, a, c, omega0, t2, grid)
+    mean_r, var_r = _ratio_moments(
+        cloud.weights,
+        cloud.column("a"),
+        cloud.column("c"),
+        cloud.column("omega0"),
+        cloud.column("t2"),
+        grid,
+    )
     u = np.log1p(lambda_b_estimate * var_r / mean_r)
     if overhead_us is not None:
-        u = u / (taus + overhead_us)
+        u = u / (grid.taus + overhead_us)
     return u
 
 

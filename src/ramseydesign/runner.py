@@ -185,14 +185,19 @@ class SensitivityPoint:
     eta2_T2s: float
 
 
+def field_units(sigma_omega, t_lab_s):
+    """sigma_B (T) and eta2 = sigma_B^2 * t_lab (T^2 s) of a frequency
+    uncertainty (rad/us) at ``t_lab_s``; scalars or broadcasting arrays."""
+    sigma_b = sigma_omega * 1e6 / GYROMAGNETIC_RAD_PER_S_PER_T
+    return sigma_b, sigma_b * sigma_b * t_lab_s
+
+
 def sensitivity(sigma_omega: float, t_lab_s: float) -> SensitivityPoint:
     """Convert a frequency uncertainty (rad/us) at ``t_lab_s`` to field units."""
     if t_lab_s <= 0:
         raise ValueError("t_lab must be > 0")
-    sigma_b = sigma_omega * 1e6 / GYROMAGNETIC_RAD_PER_S_PER_T
-    return SensitivityPoint(
-        t_lab_s=t_lab_s, sigma_B_T=sigma_b, eta2_T2s=sigma_b * sigma_b * t_lab_s
-    )
+    sigma_b, eta2 = field_units(sigma_omega, t_lab_s)
+    return SensitivityPoint(t_lab_s=t_lab_s, sigma_B_T=sigma_b, eta2_T2s=eta2)
 
 
 def snr_epoch_time_us(truth: TruthConfig, tau_us: float = 10.0) -> float:
@@ -504,8 +509,7 @@ def _locf_stats(
         tl = t.field_array("t_lab_ns").astype(float)[idx] * 1e-9
         sig[i] = s
         err[i] = m - true_omega
-        sb = s * 1e6 / GYROMAGNETIC_RAD_PER_S_PER_T
-        eta2[i] = sb * sb * tl
+        eta2[i] = field_units(s, tl)[1]
 
     mean_sigma = sig.mean(axis=0)
     p5 = np.percentile(sig, 5, axis=0)

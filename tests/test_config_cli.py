@@ -181,6 +181,32 @@ class TestCli:
         assert rc == 2
         assert f"{cfg}:2: prior.resample_threshold" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("run.epochs = 2\nrun.seed = -1\n", ":2: run.seed"),
+            (
+                "run.epochs = 2\ntruth.drift = sinusoidal\ntruth.drift_amplitude = -0.2\n",
+                ":3: sinusoidal drift",
+            ),
+        ],
+        ids=["negative-seed", "drift-below-zero"],
+    )
+    def test_value_rejected_at_run_is_config_error(self, tmp_path, capsys, text, where):
+        cfg = tmp_path / "bad.txt"
+        cfg.write_text(text)
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert f"{cfg}{where}" in capsys.readouterr().err
+
+    def test_negative_seed_in_environment_is_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(SEED_ENV_VAR, "-4")
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("run.epochs = 2\n")
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert f"{SEED_ENV_VAR}='-4'" in capsys.readouterr().err
+
     def test_inference_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(
             "ramseydesign.particles.log_likelihood_general",

@@ -120,6 +120,11 @@ class TestBackgroundRate:
         with pytest.raises(ValueError):
             TruthConfig(
                 params=TRUTH.params,
+                drift=DriftSpec(kind="sinusoidal", amplitude=-0.2, period_s=1.0),
+            )
+        with pytest.raises(ValueError):
+            TruthConfig(
+                params=TRUTH.params,
                 drift=DriftSpec(kind="linear", amplitude=-0.2, period_s=1.0),
             )
         with pytest.raises(ValueError):

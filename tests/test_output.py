@@ -7,18 +7,13 @@ from ramseydesign.model import RamseyParams
 from ramseydesign.output import (
     TRACE_COLUMNS,
     read_batch,
-    read_cloud,
     read_scaling,
     read_trace,
-    read_utility_map,
     write_batch,
-    write_cloud,
     write_scaling,
     write_trace,
-    write_utility_map,
 )
-from ramseydesign.particles import PriorSpec, init_prior
-from ramseydesign.protocols import SettingGrid
+from ramseydesign.particles import PriorSpec
 from ramseydesign.runner import (
     RunConfig,
     run_batch,
@@ -90,23 +85,6 @@ def test_batch_roundtrip(tmp_path):
             back[axis].mean_sigma_omega, stats.mean_sigma_omega
         )
         np.testing.assert_allclose(back[axis].mean_eta2, stats.mean_eta2)
-
-
-def test_utility_map_roundtrip(tmp_path):
-    grid = SettingGrid()
-    u = np.linspace(0, 1, len(grid))
-    path = write_utility_map(tmp_path / "u.csv", grid.taus, u)
-    back = read_utility_map(path)
-    np.testing.assert_allclose(back["tau_us"], grid.taus)
-    np.testing.assert_allclose(back["utility"], u)
-
-
-def test_cloud_roundtrip(tmp_path):
-    cloud = init_prior(PRIOR, 3)
-    back = read_cloud(write_cloud(tmp_path / "cloud.csv", cloud))
-    np.testing.assert_allclose(back["omega0"], cloud.column("omega0"))
-    np.testing.assert_allclose(back["weight"], cloud.weights)
-    np.testing.assert_array_equal(back["t2"], math.inf)
 
 
 def test_scaling_roundtrip(tmp_path):

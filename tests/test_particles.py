@@ -190,10 +190,3 @@ class TestSummarize:
         assert lo == pytest.approx(0.05, abs=2 * spacing)
         assert hi == pytest.approx(0.95, abs=2 * spacing)
         assert lo <= np.median(cloud.values[:, 2]) <= hi
-
-    def test_serialization_table(self):
-        cloud = init_prior(omega_prior(n=120), seed=15)
-        table = cloud.to_table()
-        assert table.shape == (120, 5)
-        np.testing.assert_array_equal(table[:, :4], cloud.values)
-        np.testing.assert_array_equal(table[:, 4], cloud.weights)

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -186,6 +187,16 @@ class TestInferenceFailure:
         first = derived_seeds(42, 2)[0]
         with pytest.raises(RunError, match=f"batch aborted: .*seed {first}"):
             run_batch(cfg, TRUTH, 2, prior=small_prior(), workers=1)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="worker processes see the patched likelihood only when forked",
+    )
+    def test_run_batch_worker_failure_names_seed(self, nan_likelihood):
+        cfg = RunConfig(protocol="random", epochs=3, seed=43)
+        first = derived_seeds(43, 2)[0]
+        with pytest.raises(RunError, match=f"batch aborted: .*seed {first}"):
+            run_batch(cfg, TRUTH, 2, prior=small_prior(), workers=2)
 
 
 class TestSensitivity:
