@@ -21,7 +21,8 @@ from .config import ConfigError, ParsedConfig, parse_config
 from .demo import background_saturation, likelihood_inset
 from .output import write_batch, write_scaling, write_trace
 from .runner import (
-    SCALING_GRID,
+    PROTOCOLS,
+    UNKNOWN_MODES,
     RunError,
     default_prior,
     run_batch,
@@ -37,6 +38,15 @@ EXIT_RUN = 3
 SIDECAR_NAME = "effective_config.txt"
 MANIFEST_NAME = "manifest.json"
 
+# flag (without its dashes) -> the config key it overrides
+OVERRIDE_FLAGS = {
+    "seed": "run.seed",
+    "protocol": "run.protocol",
+    "unknowns": "run.unknowns",
+    "runs": "batch.runs",
+    "workers": "batch.workers",
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -51,12 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="seed override")
         if protocol_flags:
-            p.add_argument(
-                "--protocol", choices=("bayes", "tau", "random"), default=None
-            )
-            p.add_argument(
-                "--unknowns", choices=("omega-only", "all-four"), default=None
-            )
+            p.add_argument("--protocol", choices=PROTOCOLS, default=None)
+            p.add_argument("--unknowns", choices=UNKNOWN_MODES, default=None)
 
     p_run = sub.add_parser("run", help="single run, per-epoch trace")
     common(p_run)
@@ -82,17 +88,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> ParsedConfig:
     overrides = {}
-    if args.seed is not None:
-        overrides["run.seed"] = str(args.seed)
-    if getattr(args, "protocol", None) is not None:
-        overrides["run.protocol"] = args.protocol
-    if getattr(args, "unknowns", None) is not None:
-        overrides["run.unknowns"] = args.unknowns
-    if getattr(args, "runs", None) is not None:
-        overrides["batch.runs"] = str(args.runs)
-    if getattr(args, "workers", None) is not None:
-        overrides["batch.workers"] = str(args.workers)
-    return parse_config(args.config, overrides)
+    sources = {}
+    for flag, key in OVERRIDE_FLAGS.items():
+        value = getattr(args, flag, None)
+        if value is not None:
+            overrides[key] = str(value)
+            sources[key] = f"--{flag} {value}"
+    return parse_config(args.config, overrides, sources)
 
 
 def _prepare_out(args, cfg: ParsedConfig) -> Path:
@@ -206,7 +208,6 @@ def _cmd_scaling(args) -> int:
         params=dataclasses.replace(cfg.truth.params, t2=float("inf")),
         overhead_us=0.0,
     )
-    grid = dataclasses.replace(SCALING_GRID, tau_max=cfg.scaling.grid_max_us)
     prior = default_prior(
         "omega-only",
         truth,
@@ -223,7 +224,7 @@ def _cmd_scaling(args) -> int:
         seed=cfg.run.seed,
         prior=prior,
         tau_config=cfg.tau,
-        grid=grid,
+        grid=cfg.scaling.grid,
     )
     write_scaling(out / "tau_scaling.csv", report)
     _write_manifest(

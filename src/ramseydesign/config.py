@@ -3,9 +3,10 @@
 Files hold one ``section.key = value`` assignment per line; ``#`` starts
 a comment and blank lines are ignored. Every key is optional — an empty
 file yields the full paper-default configuration — and unknown keys,
-out-of-range values, and malformed numbers (e.g. unit suffixes such as
-``4.07us``; units are fixed by the key name) are rejected with the
-offending line number.
+out-of-range values, infinite values (except ``truth.t2_us = inf``, no
+dephasing) and malformed numbers (e.g. unit suffixes such as ``4.07us``;
+units are fixed by the key name) are rejected with the offending line
+number, or with the command-line flag that supplied the value.
 
 The effective configuration can be echoed back to text with
 ``ParsedConfig.echo()``; the echo parses to an identical configuration.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .demo import SATURATION_EPOCHS, SATURATION_RUNS
@@ -38,13 +39,11 @@ SEED_ENV_VAR = "RAMSEY_DESIGN_SEED"
 
 
 class ConfigError(ValueError):
-    """Configuration problem, anchored to a file line when possible."""
+    """Configuration problem, prefixed with where the value came from when
+    known: ``file:line``, a command-line flag, or the file."""
 
-    def __init__(self, message: str, path=None, line: int | None = None):
-        where = ""
-        if path is not None:
-            where = f"{path}:{line}: " if line is not None else f"{path}: "
-        super().__init__(where + message)
+    def __init__(self, message: str, where=None):
+        super().__init__(message if where is None else f"{where}: {message}")
 
 
 def _parse_int(raw: str) -> int:
@@ -54,7 +53,7 @@ def _parse_int(raw: str) -> int:
         raise ValueError(f"{raw!r} is not an integer") from None
 
 
-def _parse_float(raw: str) -> float:
+def _parse_float(raw: str, allow_inf: bool = False) -> float:
     try:
         value = float(raw)
     except ValueError:
@@ -64,7 +63,13 @@ def _parse_float(raw: str) -> float:
         ) from None
     if math.isnan(value):
         raise ValueError("NaN is not a valid value")
+    if math.isinf(value) and not allow_inf:
+        raise ValueError(f"{raw!r} is not finite")
     return value
+
+
+def _parse_float_or_inf(raw: str) -> float:
+    return _parse_float(raw, allow_inf=True)
 
 
 def _parse_choice(options):
@@ -134,7 +139,7 @@ SCHEMA: dict[str, tuple] = {
     "truth.a": (_parse_float, _positive, _TRUTH.a),
     "truth.c": (_parse_float, _non_negative, _TRUTH.c),
     "truth.omega0": (_parse_float, _non_negative, _TRUTH.omega0),
-    "truth.t2_us": (_parse_float, _positive, _TRUTH.t2),
+    "truth.t2_us": (_parse_float_or_inf, _positive, _TRUTH.t2),  # inf: no dephasing
     "truth.lambda_b": (_parse_float, _positive, TruthConfig.lambda_b0),
     "truth.overhead_us": (_parse_float, _non_negative, TruthConfig.overhead_us),
     "truth.drift": (_parse_choice(DRIFT_KINDS), _identity, DriftSpec.kind),
@@ -178,7 +183,7 @@ class ScalingConfig:
     repeats: int
     epochs: int
     runs: int
-    grid_max_us: float
+    grid: SettingGrid
 
 
 @dataclass(frozen=True)
@@ -199,61 +204,67 @@ class ParsedConfig:
         return "".join(f"{k} = {v}\n" for k, v in sorted(self.values.items()) if v is not None)
 
 
-def _read_pairs(path) -> dict[str, tuple[str, int]]:
-    pairs: dict[str, tuple[str, int]] = {}
+def _read_pairs(path) -> dict[str, tuple[str, str]]:
+    """key -> (raw value, "file:line") for every assignment in the file."""
+    pairs: dict[str, tuple[str, str]] = {}
     text = Path(path).read_text()
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
+        where = f"{path}:{lineno}"
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError("expected 'key = value'", path, lineno)
+            raise ConfigError("expected 'key = value'", where)
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in SCHEMA:
-            raise ConfigError(f"unknown key {key!r}", path, lineno)
+            raise ConfigError(f"unknown key {key!r}", where)
         if key in pairs:
-            raise ConfigError(f"duplicate key {key!r}", path, lineno)
+            raise ConfigError(f"duplicate key {key!r}", where)
         if not raw:
-            raise ConfigError(f"missing value for {key!r}", path, lineno)
-        pairs[key] = (raw, lineno)
+            raise ConfigError(f"missing value for {key!r}", where)
+        pairs[key] = (raw, where)
     return pairs
 
 
-def parse_config(path=None, overrides: dict[str, str] | None = None) -> ParsedConfig:
+def parse_config(
+    path=None,
+    overrides: dict[str, str] | None = None,
+    sources: dict[str, str] | None = None,
+) -> ParsedConfig:
     """Parse and validate a configuration file.
 
     ``overrides`` (key -> raw value text) are applied after the file,
-    e.g. from command-line flags. With ``path=None`` the defaults are
-    used directly.
+    e.g. from command-line flags; ``sources`` names where each came from
+    (key -> e.g. ``"--seed -3"``) for error messages. With ``path=None``
+    the defaults are used directly.
     """
     pairs = _read_pairs(path) if path is not None else {}
     for key, raw in (overrides or {}).items():
+        where = (sources or {}).get(key, f"override {key}")
         if key not in SCHEMA:
-            raise ConfigError(f"unknown key {key!r} (override)", path)
-        pairs[key] = (str(raw), 0)
+            raise ConfigError(f"unknown key {key!r}", where)
+        pairs[key] = (str(raw), where)
 
     values: dict[str, object] = {}
-    lines: dict[str, int] = {}
+    origins: dict[str, str] = {}
     for key, (parser, validator, default) in SCHEMA.items():
         if key in pairs:
-            raw, lineno = pairs[key]
-            lines[key] = lineno
+            raw, origins[key] = pairs[key]
             try:
                 values[key] = validator(parser(raw))
             except ValueError as exc:
-                raise ConfigError(f"{key}: {exc}", path, lineno) from None
+                raise ConfigError(f"{key}: {exc}", origins[key]) from None
         else:
             values[key] = default
 
-    def anchor(*keys) -> int | None:
-        present = [lines[k] for k in keys if k in lines]
-        return present[0] if present else None
+    def anchor(*keys) -> str | None:
+        """Where the first of ``keys`` that was set came from; else the file."""
+        return next((origins[k] for k in keys if k in origins), path)
 
     # budget: exactly one of epochs / lab_time_s (default: 1 s of lab time)
     if values["run.epochs"] is not None and values["run.lab_time_s"] is not None:
         raise ConfigError(
             "run.epochs and run.lab_time_s are mutually exclusive",
-            path,
             anchor("run.epochs", "run.lab_time_s"),
         )
     if values["run.epochs"] is None and values["run.lab_time_s"] is None:
@@ -279,8 +290,12 @@ def parse_config(path=None, overrides: dict[str, str] | None = None) -> ParsedCo
         )
     except ValueError as exc:
         raise ConfigError(
-            str(exc), path, anchor("grid.tau_min_us", "grid.tau_max_us", "grid.step_us")
+            str(exc), anchor("grid.tau_min_us", "grid.tau_max_us", "grid.step_us")
         ) from None
+    try:
+        scaling_grid = replace(SCALING_GRID, tau_max=values["scaling.grid_max_us"])
+    except ValueError as exc:
+        raise ConfigError(f"scaling grid: {exc}", anchor("scaling.grid_max_us")) from None
 
     try:
         truth = TruthConfig(
@@ -301,7 +316,6 @@ def parse_config(path=None, overrides: dict[str, str] | None = None) -> ParsedCo
     except ValueError as exc:
         raise ConfigError(
             str(exc),
-            path,
             anchor("truth.drift_amplitude", "truth.drift", "truth.a", "truth.t2_us"),
         ) from None
 
@@ -313,7 +327,6 @@ def parse_config(path=None, overrides: dict[str, str] | None = None) -> ParsedCo
         if not lo < hi:
             raise ConfigError(
                 f"prior bounds for {name} need min < max",
-                path,
                 anchor(f"prior.{name}_min{suffix}", f"prior.{name}_max{suffix}"),
             )
         bounds[name] = (lo, hi)
@@ -344,7 +357,6 @@ def parse_config(path=None, overrides: dict[str, str] | None = None) -> ParsedCo
     if epoch_us <= truth.overhead_us:
         raise ConfigError(
             "run.epoch_time_ms must exceed truth.overhead_us",
-            path,
             anchor("run.epoch_time_ms", "truth.overhead_us"),
         )
 
@@ -363,7 +375,7 @@ def parse_config(path=None, overrides: dict[str, str] | None = None) -> ParsedCo
             repeats=values["scaling.repeats"],
             epochs=values["scaling.epochs"],
             runs=values["scaling.runs"],
-            grid_max_us=values["scaling.grid_max_us"],
+            grid=scaling_grid,
         ),
     )
     object.__setattr__(cfg, "values", values)  # frozen; set once here

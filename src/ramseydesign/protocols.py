@@ -30,8 +30,12 @@ class SettingGrid:
     step: float = 0.05
 
     def __post_init__(self):
-        if not (self.step > 0 and self.tau_min > 0 and self.tau_max >= self.tau_min):
-            raise ValueError("grid requires 0 < tau_min <= tau_max and step > 0")
+        if not (0 < self.step < math.inf and 0 < self.tau_min <= self.tau_max < math.inf):
+            raise ValueError("grid requires 0 < tau_min <= tau_max < inf and step > 0")
+        # the last setting must be tau_max itself, up to rounding
+        n = (self.tau_max - self.tau_min) / self.step
+        if abs(n - round(n)) > 1e-9 * max(1.0, n):
+            raise ValueError("grid step must divide tau_max - tau_min")
 
     def __len__(self) -> int:
         return int(round((self.tau_max - self.tau_min) / self.step)) + 1

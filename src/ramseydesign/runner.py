@@ -1,23 +1,27 @@
 """Measure-infer-design loop, batch statistics, and scaling experiments.
 
-A run iterates epochs: pick a setting, measure m_s sequences, update the
-posterior. Three workflows differ in timing and data lag:
+A run iterates epochs: measure m_s sequences at the current setting and
+run one calc step, which absorbs the data not yet absorbed and designs
+the next setting. The three workflows differ in when the calc runs and
+what its time costs:
 
 series
-    Epoch i+1's setting is designed after epoch i's data is absorbed.
-    The measured inference+design wall time is charged to lab time for
-    the Bayes protocol (the instrument idles); Tau/Random analysis time
-    is discounted.
+    The calc follows the measurement: epoch i+1's setting is designed
+    from data through epoch i. For Bayes its wall time is added to lab
+    time (the instrument idles); Tau/Random analysis time is discounted.
 concurrent
-    The design runs while the instrument measures: epoch i's setting
-    was designed from data through epoch i-2, and the epoch's duration
-    equals the measured wall time of the inference+design step running
-    alongside it. Computation never adds to lab time.
+    The calc runs while the epoch is measured: epoch i's setting was
+    designed from data through epoch i-2. A Bayes epoch lasts as long
+    as its calc, so computation never adds to lab time.
 concurrent-deterministic
-    Same one-epoch data lag, but epoch durations are the configured
-    allocation instead of wall time, so runs are bit-reproducible.
+    Same lag, but every epoch lasts its allocation and records the
+    allocation (Bayes) or 0 (Tau/Random) as its calc time, so runs are
+    bit-reproducible.
 
-Lab time is accounted in integer nanoseconds; totals are exact.
+Every other epoch lasts its allocation too, and m_s is as many sequences
+as fit in it. The Tau-scaling study is a series Tau run that measures a
+fixed number of sequences per epoch instead. Lab time is accounted in
+integer nanoseconds; totals are exact.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .instrument import EpochOutcome, TruthConfig, sequence_duration_ns, simulate_epoch
+from .instrument import TruthConfig, sequence_duration_ns, simulate_epoch
 from .likelihood import EpochData
 from .model import PARAM_NAMES
 from .particles import (
@@ -237,31 +241,12 @@ def default_prior(
     )
 
 
-class _BackgroundWindow:
-    """Moving sums of (n_b, m_s) over the most recent W epochs."""
-
-    def __init__(self, width: int):
-        self.width = width
-        self._entries: deque[tuple[int, int]] = deque()
-        self.n_b = 0
-        self.m_b = 0
-
-    def push(self, n_b: int, m_s: int):
-        self._entries.append((n_b, m_s))
-        self.n_b += n_b
-        self.m_b += m_s
-        while len(self._entries) > self.width:
-            old_nb, old_ms = self._entries.popleft()
-            self.n_b -= old_nb
-            self.m_b -= old_ms
-
-
 def _design(
     run: RunConfig,
     truth: TruthConfig,
     cloud: ParticleCloud,
     summary: PosteriorSummary | None,
-    window: _BackgroundWindow,
+    lam_hat: float,
     tau_config: TauConfig,
     rng: np.random.Generator,
 ) -> float:
@@ -269,11 +254,8 @@ def _design(
         return random_design(run.grid, rng)
     if run.protocol == "tau":
         return tau_design(summary.std["omega0"], tau_config, run.grid, rng)
-    # Bayes: needs a background-rate estimate; before any data exists
-    # the posterior is the bare prior and the first pick is random.
-    if window.m_b == 0:
-        return random_design(run.grid, rng)
-    lam_hat = window.n_b / window.m_b
+    # Bayes: needs a background-rate estimate lam_hat > 0; before any
+    # data exists the posterior is the bare prior and the pick is random.
     if lam_hat <= 0:
         return random_design(run.grid, rng)
     design_cloud = cloud
@@ -332,115 +314,109 @@ def run_single(
     one epoch later (or in a final drain step), but is attributed to the
     epoch that produced the data.
     """
+    return _run_epochs(run, truth, prior, tau_config)
+
+
+def _run_epochs(
+    run: RunConfig,
+    truth: TruthConfig,
+    prior: PriorSpec | None,
+    tau_config: TauConfig | None,
+    repeats: int | None = None,
+) -> RunTrace:
+    """The epoch loop of every workflow and of the Tau-scaling study.
+
+    ``repeats`` fixes the sequences per epoch (the scaling study);
+    otherwise an epoch measures as many sequences as fit its duration.
+    """
     alloc_ms = run.resolved_epoch_time_ms()
     if alloc_ms * 1000.0 <= truth.overhead_us:
         raise ValueError("epoch time allocation must exceed the sequence overhead")
-    if prior is None:
-        prior = default_prior(run.unknowns, truth)
-    if tau_config is None:
-        tau_config = TauConfig()
+    prior = prior or default_prior(run.unknowns, truth)
+    tau_config = tau_config or TauConfig()
 
     rng = np.random.default_rng(run.seed)
     cloud = init_prior(prior, rng)
     # Tau designs from the newest posterior sigma: the prior's is taken
     # here, every later one comes from the epoch step
     summary = summarize(cloud) if run.protocol == "tau" else None
-    nu = run.background_prior_exponent
     alloc_ns = round(alloc_ms * 1e6)
-    concurrent = run.workflow != "series"
-    deterministic = run.workflow == "concurrent-deterministic"
-    budget_ns = None if run.lab_time_s is None else round(run.lab_time_s * 1e9)
+    bayes = run.protocol == "bayes"
+    lagged = run.workflow != "series"
+    timed = run.workflow != "concurrent-deterministic"
+    max_epochs = run.epochs or math.inf
+    budget_ns = math.inf if run.lab_time_s is None else round(run.lab_time_s * 1e9)
+    nu = run.background_prior_exponent
 
-    window = _BackgroundWindow(run.background_window)
+    window: deque[tuple[int, int]] = deque(maxlen=run.background_window)  # (n_b, m_s)
+    n_b_win = m_b_win = 0
     records: list[EpochRecord] = []
-    pending: tuple[EpochData, float, int] | None = None  # data, tau, epoch
-    t_lab_ns = 0
-    cum_seq = 0
-    last_data_epoch = -1
+    # epochs are absorbed in order, so epoch k's summary is summaries[k]
+    summaries: list[PosteriorSummary] = []
+    pending: tuple[EpochData, float] | None = None  # measured, not yet absorbed
 
-    def absorb(data, tau, epoch):
-        nonlocal summary
-        where = f"epoch {epoch} (seed {run.seed}, protocol {run.protocol})"
-        summary = records[epoch].summary = _epoch_step(cloud, data, tau, nu, where)
+    def absorb():
+        nonlocal pending, summary
+        if pending is not None:
+            (data, tau), pending = pending, None
+            where = f"epoch {len(summaries)} (seed {run.seed}, protocol {run.protocol})"
+            summary = _epoch_step(cloud, data, tau, nu, where)
+            summaries.append(summary)
+
+    def calc() -> float:
+        """Absorb, then design the next setting; return the wall seconds."""
+        nonlocal next_tau
+        t0 = time.perf_counter()
+        absorb()
+        lam_hat = n_b_win / m_b_win if m_b_win else 0.0
+        next_tau = _design(run, truth, cloud, summary, lam_hat, tau_config, rng)
+        return time.perf_counter() - t0
 
     # the first setting is designed from the bare prior before the clock starts
-    next_tau = _design(run, truth, cloud, summary, window, tau_config, rng)
-    next_from = -1
-
-    epoch = 0
-    while True:
-        if run.epochs is not None and epoch >= run.epochs:
-            break
-        if budget_ns is not None and t_lab_ns >= budget_ns:
-            break
-
-        tau_i, from_i = next_tau, next_from
-
-        if concurrent:
-            # inference+design runs during this epoch's measurement
-            t0 = time.perf_counter()
-            if pending is not None:
-                absorb(*pending)
-                last_data_epoch = pending[2]
-                pending = None
-            next_tau = _design(run, truth, cloud, summary, window, tau_config, rng)
-            next_from = last_data_epoch
-            t_calc = time.perf_counter() - t0
-            if deterministic:
-                duration_ns = alloc_ns
-                t_calc_rec = alloc_ms * 1e-3 if run.protocol == "bayes" else 0.0
-            elif run.protocol == "bayes":
-                duration_ns = max(1, round(t_calc * 1e9))
-                t_calc_rec = t_calc
-            else:
-                duration_ns = alloc_ns
-                t_calc_rec = t_calc
-        else:
-            duration_ns = alloc_ns
-            t_calc_rec = 0.0  # filled in after the post-measurement calc
-
-        seq_ns = sequence_duration_ns(tau_i, truth.overhead_us)
-        m_s = max(1, duration_ns // seq_ns)
-        outcome: EpochOutcome = simulate_epoch(
-            truth, tau_i, int(m_s), t_lab_ns / 1000.0, rng
-        )
-        window.push(outcome.n_b, int(m_s))
-        cum_seq += int(m_s)
+    next_tau = _design(run, truth, cloud, summary, 0.0, tau_config, rng)
+    t_lab_ns = 0
+    cum_seq = 0
+    while len(records) < max_epochs and t_lab_ns < budget_ns:
+        epoch = len(records)
+        tau = next_tau
+        # Timing. Lagged workflows run the calc while this epoch is
+        # measured, series after it. An epoch lasts its allocation, a
+        # concurrent Bayes epoch its calc; series Bayes charges its calc
+        # to lab time, as the instrument idles meanwhile (fig. 2(a)).
+        t_calc = calc() if lagged else 0.0
+        duration_ns = max(1, round(t_calc * 1e9)) if bayes and lagged and timed else alloc_ns
+        m_s = repeats or int(max(1, duration_ns // sequence_duration_ns(tau, truth.overhead_us)))
+        outcome = simulate_epoch(truth, tau, m_s, t_lab_ns / 1000.0, rng)
+        window.append((outcome.n_b, m_s))
+        n_b_win, m_b_win = map(sum, zip(*window))
+        pending = (EpochData(outcome.n_s, m_s, n_b_win, m_b_win), tau)
+        cum_seq += m_s
         t_lab_ns += outcome.t_epoch_ns
-        data = EpochData(outcome.n_s, int(m_s), window.n_b, window.m_b)
-
-        rec = EpochRecord(
-            epoch=epoch,
-            tau_us=tau_i,
-            m_s=int(m_s),
-            n_s=outcome.n_s,
-            n_b_win=window.n_b,
-            m_b_win=window.m_b,
-            cum_sequences=cum_seq,
-            t_lab_ns=t_lab_ns,
-            t_calc_s=t_calc_rec,
-            design_from_epoch=from_i,
+        if not lagged:
+            t_calc = calc()
+            t_lab_ns += round(t_calc * 1e9) if bayes else 0
+        if not timed:
+            # deterministic epochs record the paper's Bayes compute time
+            t_calc = alloc_ms * 1e-3 if bayes else 0.0
+        records.append(
+            EpochRecord(
+                epoch=epoch,
+                tau_us=tau,
+                m_s=m_s,
+                n_s=outcome.n_s,
+                n_b_win=n_b_win,
+                m_b_win=m_b_win,
+                cum_sequences=cum_seq,
+                t_lab_ns=t_lab_ns,
+                t_calc_s=t_calc,
+                # series designs from the previous epoch's data, lagged
+                # workflows from the epoch before that
+                design_from_epoch=max(-1, epoch - (2 if lagged else 1)),
+            )
         )
-        records.append(rec)
-
-        if concurrent:
-            pending = (data, tau_i, epoch)
-        else:
-            t0 = time.perf_counter()
-            absorb(data, tau_i, epoch)
-            next_tau = _design(run, truth, cloud, summary, window, tau_config, rng)
-            next_from = epoch
-            t_calc = time.perf_counter() - t0
-            rec.t_calc_s = t_calc
-            if run.protocol == "bayes":
-                # fig. 2(a): the instrument idles while the design runs
-                t_lab_ns += round(t_calc * 1e9)
-                rec.t_lab_ns = t_lab_ns
-
-        epoch += 1
-
-    if pending is not None:
-        absorb(*pending)
+    absorb()  # drain: the last lagged epoch
+    for rec, rec_summary in zip(records, summaries):
+        rec.summary = rec_summary
 
     return RunTrace(
         run_id=run.run_id,
@@ -604,17 +580,18 @@ def tau_scaling_experiment(
     seed: int = 1,
     prior: PriorSpec | None = None,
     tau_config: TauConfig | None = None,
-    grid: SettingGrid | None = None,
+    grid: SettingGrid = SCALING_GRID,
     background_window: int = RunConfig.background_window,
 ) -> TauScalingReport:
     """Idealized Tau-protocol scaling: fixed repeats, zero overhead.
 
-    Every epoch runs exactly ``repeats_per_epoch`` sequences at
-    tau = h / sigma, so each starts from the same phase uncertainty and
-    should shrink sigma by a roughly constant factor beta. Reports the
-    mid-run mean of sigma_{k+1}/sigma_k and the fitted slope of
-    log sigma against log of cumulative precession time (the idealized
-    prediction is -1; observed behavior is typically shallower).
+    Each run is a series Tau run in which every epoch measures exactly
+    ``repeats_per_epoch`` sequences at tau = h / sigma, so each starts
+    from the same phase uncertainty and should shrink sigma by a roughly
+    constant factor beta. Reports the mid-run mean of sigma_{k+1}/sigma_k
+    and the fitted slope of log sigma against log of cumulative
+    precession time (the idealized prediction is -1; observed behavior
+    is typically shallower).
     """
     if truth.overhead_us != 0:
         raise ValueError("the idealized scaling mode requires zero overhead")
@@ -622,48 +599,28 @@ def tau_scaling_experiment(
         raise ValueError("repeats_per_epoch must be >= 1")
     if epochs < 5:
         raise ValueError("scaling fit needs at least 5 epochs")
-    if grid is None:
-        grid = SCALING_GRID
-    if tau_config is None:
-        tau_config = TauConfig()
-    if prior is None:
-        prior = default_prior("omega-only", truth, n_particles=4000)
 
     runs = []
-    log_sigma_all = []
-    log_t_all = []
     betas = []
     for run_seed in derived_seeds(seed, n_runs):
-        rng = np.random.default_rng(run_seed)
-        cloud = init_prior(prior, rng)
-        window = _BackgroundWindow(background_window)
-        taus = np.empty(epochs)
-        sigmas = np.empty(epochs)
-        t_cum = np.empty(epochs)
-        total_tau_us = 0.0
-        sigma = summarize(cloud).std["omega0"]
-        for k in range(epochs):
-            tau = tau_design(sigma, tau_config, grid, rng)
-            outcome = simulate_epoch(truth, tau, repeats_per_epoch, total_tau_us, rng)
-            window.push(outcome.n_b, repeats_per_epoch)
-            data = EpochData(outcome.n_s, repeats_per_epoch, window.n_b, window.m_b)
-            where = f"epoch {k} (seed {run_seed}, protocol tau)"
-            sigma = _epoch_step(cloud, data, tau, -1.0, where).std["omega0"]
-            total_tau_us += repeats_per_epoch * tau
-            taus[k] = tau
-            sigmas[k] = sigma
-            t_cum[k] = total_tau_us
-        runs.append(TauScalingRun(tau_us=taus, sigma=sigmas, t_cum_us=t_cum))
-        log_sigma_all.append(np.log(sigmas))
-        log_t_all.append(np.log(t_cum))
+        run = RunConfig(
+            protocol="tau", workflow="series", epochs=epochs, seed=run_seed, grid=grid,
+            background_window=background_window,
+        )
+        trace = _run_epochs(run, truth, prior, tau_config, repeats=repeats_per_epoch)
+        taus = trace.field_array("tau_us")
+        sigmas = trace.sigma_omega()
+        runs.append(
+            TauScalingRun(tau_us=taus, sigma=sigmas, t_cum_us=np.cumsum(repeats_per_epoch * taus))
+        )
         mid = slice(epochs // 4, max(epochs // 4 + 1, 3 * epochs // 4))
         ratios = sigmas[1:] / sigmas[:-1]
         betas.append(float(ratios[mid].mean()))
 
     # ordinary least squares of log sigma on log t, with the slope's
     # standard error from the residuals
-    x = np.concatenate(log_t_all)
-    y = np.concatenate(log_sigma_all)
+    x = np.log(np.concatenate([r.t_cum_us for r in runs]))
+    y = np.log(np.concatenate([r.sigma for r in runs]))
     dx = x - x.mean()
     dy = y - y.mean()
     slope = float(dx @ dy / (dx @ dx))

@@ -118,6 +118,12 @@ class TestParseConfig:
         assert cfg.prior.fixed["a"] == 0.9
         assert set(cfg.prior.bounds) == {"omega0"}
 
+    def test_cross_key_error_names_the_override(self):
+        with pytest.raises(ConfigError, match=r"^override truth\.overhead_us: run\.epoch_time_ms"):
+            parse_config(None, {"truth.overhead_us": "5000"})
+        with pytest.raises(ConfigError, match=r"^--x: run\.epoch_time_ms"):
+            parse_config(None, {"truth.overhead_us": "5000"}, {"truth.overhead_us": "--x"})
+
     def test_all_four_bounds(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("run.unknowns = all-four\nprior.c_max = 0.5\n")
@@ -198,6 +204,61 @@ class TestCli:
         rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")])
         assert rc == 2
         assert f"{cfg}{where}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "run.lab_time_s = inf",
+            "run.epoch_time_ms = inf",
+            "grid.tau_max_us = inf",
+            "prior.omega0_max = inf",
+            "truth.lambda_b = inf",
+            "truth.omega0 = inf",
+            "truth.drift_amplitude = -inf",
+        ],
+    )
+    def test_infinite_value_is_config_error(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.txt"
+        cfg.write_text(f"prior.particles = 200\n{line}\n")
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert f"{cfg}:2: {line.split()[0]}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, text, where",
+        [
+            ("run", "run.epochs = 2\ngrid.tau_max_us = 0.2\ngrid.step_us = 0.06\n", ":2: grid step must divide"),
+            ("tau-scaling", "scaling.grid_max_us = 100.03\n", ":1: scaling grid: grid step must divide"),
+        ],
+        ids=["run-grid", "scaling-grid"],
+    )
+    def test_grid_step_not_dividing_range_is_config_error(
+        self, tmp_path, capsys, command, text, where
+    ):
+        cfg = tmp_path / "bad.txt"
+        cfg.write_text(text)
+        rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert f"{cfg}{where}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("with_config", [True, False], ids=["config", "no-config"])
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--seed", "-3"], "--seed -3: run.seed: must be >= 0"),
+            (["batch", "--runs", "1"], "--runs 1: batch.runs: must be >= 2"),
+            (["batch", "--workers", "0"], "--workers 0: batch.workers: must be >= 1"),
+        ],
+        ids=["seed", "runs", "workers"],
+    )
+    def test_override_error_names_the_flag(self, tmp_path, capsys, argv, message, with_config):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("run.epochs = 2\n")
+        config = ["--config", str(cfg)] if with_config else []
+        rc = main([*argv, *config, "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"config error: {message}\n" == err
 
     def test_negative_seed_in_environment_is_config_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(SEED_ENV_VAR, "-4")

@@ -2,8 +2,10 @@
 
 Each test hashes one output file (or the echoed configuration) of a
 small, seeded, bit-reproducible run and compares it with a recorded
-SHA-256 digest. A change that only restructures code must leave every
-digest as it is. Re-record only for a change meant to alter outputs:
+SHA-256 digest. Traces are taken under a fixed-step fake clock, so the
+series and concurrent workflows, which record wall time, reproduce too.
+A change that only restructures code must leave every digest as it is.
+Re-record only for a change meant to alter outputs:
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -13,14 +15,18 @@ prints the current digests in the layout of the tables below.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import platform
 import tempfile
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from ramseydesign import runner
 from ramseydesign.cli import main
 from ramseydesign.config import SEED_ENV_VAR, parse_config
 from ramseydesign.instrument import TruthConfig
@@ -57,8 +63,25 @@ ECHO_CASES = {
     "filter-batch": FILTER_CONFIG,
 }
 
-# name -> (config overrides, RunConfig.design_particles); every run uses
-# the default concurrent-deterministic workflow
+# Series and concurrent traces carry the wall time of each calc step.
+# Their digests are taken under a fake clock that advances by a fixed,
+# exactly representable step per reading, so every calc lasts one step.
+CLOCK_STEP_S = 2.0**-11
+
+
+@contextmanager
+def fixed_step_clock():
+    ticks = itertools.count()
+    saved = runner.time
+    runner.time = SimpleNamespace(perf_counter=lambda: next(ticks) * CLOCK_STEP_S)
+    try:
+        yield
+    finally:
+        runner.time = saved
+
+
+# name -> (config overrides, RunConfig.design_particles); runs without a
+# run.workflow key use the default concurrent-deterministic workflow
 TRACE_CASES = {
     "bayes-omega": ({"run.epochs": "25", "prior.particles": "1000"}, 0),
     "bayes-omega-subsample": ({"run.epochs": "25", "prior.particles": "2000"}, 500),
@@ -89,6 +112,20 @@ TRACE_CASES = {
     ),
     "random": ({"run.protocol": "random", "run.epochs": "30", "prior.particles": "1000"}, 0),
 }
+# the timed workflows, one small lab-time budget per protocol
+for _workflow in ("series", "concurrent"):
+    for _protocol in ("bayes", "tau", "random"):
+        TRACE_CASES[f"{_workflow}-{_protocol}"] = (
+            {
+                "run.workflow": _workflow,
+                "run.protocol": _protocol,
+                "run.lab_time_s": "0.05",
+                "prior.particles": "800",
+                "prior.omega0_min": "8",
+                "prior.omega0_max": "11",
+            },
+            0,
+        )
 
 ECHO_DIGESTS = {
     "default": "57a456f8d5049bf3181ae8df24c7832f30bfbe36cf68abae09e08b7d5fd25812",
@@ -105,6 +142,12 @@ FILE_DIGESTS = {
     "trace:tau-lab-time": "e86349c9131cc012f91232e70733e2f44b697638d55ef6dac91b14af98858978",
     "trace:random": "c0c6be9af6c232d87f2d0831c68a5e9a75817abb4161602f881b28485fa2af80",
     "trace:tau-default-prior": "a95fcff90fda0739b47b73366a3250afdd6a2d5a6ab49d6fb7dece1fccfb3d3e",
+    "trace:series-bayes": "bbd7e4340d113b7a1723d28d67da85ff7e6547552314f938b20d5a0450509764",
+    "trace:series-tau": "de9df6d82d3e933818e68a0239ad6f7be91b950b3dd95235b8dd52497245d2b7",
+    "trace:series-random": "9ad17c6065f5765ba43ac53993f8d851defab267a9c708058e95df248e4febe2",
+    "trace:concurrent-bayes": "9243c36a3fbcc86751fe800d9d112b77054161da4dcc0a1b7d4f5ac9013b947a",
+    "trace:concurrent-tau": "5ad4ab5341dca23f4b0267588673763d90293857de2634bd78f155f487fdf2b2",
+    "trace:concurrent-random": "c852539c32bf2f3144d59288870cc3cd7ca66c0f4f5fd04b7047e3b30d12cc9b",
     "batch": "bcc833ba90a8b6d0b25fc1a7d257d77b4a934430661af1a5a2599862602feaf9",
     "scaling": "ee9ea1a2d66c1c4cdf1d61dd77a6130653fe3ae91e3fc2307d1b4b028c83ffaf",
 }
@@ -156,7 +199,8 @@ def _scaling_digest(out: Path) -> str:
 def _file_digest(key, out: Path) -> str:
     kind, _, name = key.partition(":")
     if kind == "trace":
-        return _trace_digest(name, out)
+        with fixed_step_clock():
+            return _trace_digest(name, out)
     if kind == "batch":
         return _batch_digest(out)
     return _scaling_digest(out)

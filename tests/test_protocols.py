@@ -39,6 +39,17 @@ class TestGrid:
         assert taus[-1] == pytest.approx(20.0)
         assert np.allclose(np.diff(taus), 0.05)
 
+    def test_step_must_divide_range(self):
+        # 0.1, 0.16, 0.22 would overshoot tau_max
+        with pytest.raises(ValueError, match="must divide"):
+            SettingGrid(0.1, 0.2, 0.06)
+        with pytest.raises(ValueError):
+            SettingGrid(0.1, math.inf, 0.05)
+        # steps that divide the range up to float rounding pass
+        assert len(SettingGrid(0.05, 5000.0, 0.05)) == 100_000
+        assert len(SettingGrid(0.1, 0.3, 0.1)) == 3
+        assert SettingGrid(0.1, 0.3, 0.1).nearest(0.3) == pytest.approx(0.3)
+
     def test_nearest_rounds_down_on_ties(self):
         assert GRID.nearest(1.675) == pytest.approx(1.65)
         assert GRID.nearest(1.6667) == pytest.approx(1.65)

@@ -1,14 +1,19 @@
+import itertools
 import math
 import multiprocessing
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ramseydesign.instrument import TruthConfig
+from ramseydesign.instrument import TruthConfig, sequence_duration_ns
 from ramseydesign.model import RamseyParams
-from ramseydesign.particles import PriorSpec
+from ramseydesign.particles import PriorSpec, init_prior, summarize
 from ramseydesign import runner
 from ramseydesign.runner import (
+    PROTOCOLS,
+    WORKFLOWS,
     RunConfig,
     RunError,
     default_prior,
@@ -165,6 +170,99 @@ class TestRunSingle:
         cfg = RunConfig(protocol="tau", epochs=7, seed=3, workflow=workflow)
         run_single(cfg, TRUTH, small_prior())
         assert len(calls) == 7 + 1
+
+
+# one reading of the fake clock to the next; exactly representable, so
+# every calc step lasts exactly this long
+CLOCK_STEP_S = 2.0**-11
+
+
+@pytest.fixture
+def fixed_step_clock(monkeypatch):
+    ticks = itertools.count()
+    monkeypatch.setattr(
+        runner, "time", SimpleNamespace(perf_counter=lambda: next(ticks) * CLOCK_STEP_S)
+    )
+
+
+class TestTimingRule:
+    """Epoch length, lab time and recorded calc time per workflow."""
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_series_charges_only_bayes_calc_to_lab_time(self, protocol, fixed_step_clock):
+        cfg = RunConfig(protocol=protocol, lab_time_s=0.03, seed=21, workflow="series")
+        trace = run_single(cfg, TRUTH, small_prior(300))
+        alloc_ns = round(cfg.resolved_epoch_time_ms() * 1e6)
+        before = 0
+        for rec in trace.records:
+            seq_ns = sequence_duration_ns(rec.tau_us, TRUTH.overhead_us)
+            assert rec.m_s == max(1, alloc_ns // seq_ns)
+            assert rec.t_calc_s == CLOCK_STEP_S
+            step = rec.m_s * seq_ns
+            if protocol == "bayes":
+                step += round(rec.t_calc_s * 1e9)
+            assert rec.t_lab_ns - before == step
+            before = rec.t_lab_ns
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_concurrent_epoch_lasts_the_calc_for_bayes(self, protocol, fixed_step_clock):
+        cfg = RunConfig(protocol=protocol, lab_time_s=0.02, seed=22, workflow="concurrent")
+        trace = run_single(cfg, TRUTH, small_prior(300))
+        alloc_ns = round(cfg.resolved_epoch_time_ms() * 1e6)
+        before = 0
+        for rec in trace.records:
+            seq_ns = sequence_duration_ns(rec.tau_us, TRUTH.overhead_us)
+            assert rec.t_calc_s == CLOCK_STEP_S
+            if protocol == "bayes":
+                assert rec.m_s * seq_ns <= round(rec.t_calc_s * 1e9) or rec.m_s == 1
+            else:
+                assert rec.m_s == max(1, alloc_ns // seq_ns)
+            # computation never adds to lab time
+            assert rec.t_lab_ns - before == rec.m_s * seq_ns
+            before = rec.t_lab_ns
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_deterministic_records_the_allocation_for_bayes(self, protocol, fixed_step_clock):
+        cfg = RunConfig(protocol=protocol, epochs=6, seed=23)
+        trace = run_single(cfg, TRUTH, small_prior(300))
+        expected = cfg.resolved_epoch_time_ms() * 1e-3 if protocol == "bayes" else 0.0
+        assert [rec.t_calc_s for rec in trace.records] == [expected] * 6
+
+
+class TestFaultInjection:
+    @pytest.mark.parametrize("workflow", WORKFLOWS)
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_all_zero_count_window(self, protocol, workflow, monkeypatch):
+        # a near-zero background rate makes every n_s and n_b 0; with
+        # nu = -1 each epoch's likelihood is then flat in R
+        truth = replace(TRUTH, lambda_b0=1e-12)
+
+        def no_bayes_design(*args, **kwargs):
+            raise AssertionError("lambda_b estimate is 0: Bayes must pick at random")
+
+        monkeypatch.setattr(runner, "bayes_design", no_bayes_design)
+        cfg = RunConfig(protocol=protocol, epochs=8, seed=24, workflow=workflow)
+        trace = run_single(cfg, truth, small_prior(300))
+        assert len(trace.records) == 8
+        assert all(rec.n_s == 0 and rec.n_b_win == 0 for rec in trace.records)
+        # the same draws as the run's prior; renormalizing flat weights
+        # moves the summary by rounding only
+        prior = summarize(init_prior(small_prior(300), cfg.seed))
+        for rec in trace.records:
+            assert rec.summary.mean == pytest.approx(prior.mean, rel=1e-12)
+            assert rec.summary.std == pytest.approx(prior.std, rel=1e-12)
+
+    def test_collapsed_coordinate(self):
+        truth = TruthConfig()
+        prior = default_prior(
+            "all-four", truth, {"omega0": (9.4, 9.4 + 1e-12)}, n_particles=500
+        )
+        cfg = RunConfig(protocol="bayes", unknowns="all-four", epochs=30, seed=25)
+        trace = run_single(cfg, truth, prior)
+        assert len(trace.records) == 30
+        for rec in trace.records:
+            for d in (rec.summary.mean, rec.summary.std):
+                assert all(math.isfinite(v) for v in d.values())
 
 
 @pytest.fixture
