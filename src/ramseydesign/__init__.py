@@ -10,7 +10,7 @@ from .likelihood import (
     log_likelihood_counts,
     marginal_likelihood_oracle,
 )
-from .model import RamseyParams, T2_INFINITE, expected_counts, ratio
+from .model import RamseyParams, T2_INFINITE, ratio
 from .particles import (
     InferenceError,
     ParticleCloud,
@@ -35,11 +35,9 @@ from .runner import (
     RunConfig,
     RunError,
     RunTrace,
-    SensitivityPoint,
     default_prior,
     run_batch,
     run_single,
-    sensitivity,
     snr_epoch_time_us,
     tau_scaling_experiment,
 )
@@ -58,7 +56,6 @@ __all__ = [
     "RunConfig",
     "RunError",
     "RunTrace",
-    "SensitivityPoint",
     "SettingGrid",
     "T2_INFINITE",
     "TauConfig",
@@ -68,7 +65,6 @@ __all__ = [
     "bayes_update",
     "ci90",
     "default_prior",
-    "expected_counts",
     "init_prior",
     "log_likelihood",
     "log_likelihood_counts",
@@ -78,7 +74,6 @@ __all__ = [
     "resample_if_needed",
     "run_batch",
     "run_single",
-    "sensitivity",
     "simulate_epoch",
     "snr_epoch_time_us",
     "summarize",

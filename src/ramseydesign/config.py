@@ -108,6 +108,18 @@ def _at_least(n):
     return check
 
 
+def _finite_ns(ns_per_unit):
+    """Positive, and finite once converted to the integer-ns lab clock."""
+
+    def check(x):
+        _positive(x)
+        if not x * ns_per_unit < math.inf:
+            raise ValueError(f"{x!r} is too large: its nanosecond count is not finite")
+        return x
+
+    return check
+
+
 def _identity(x):
     return x
 
@@ -121,13 +133,11 @@ SCHEMA: dict[str, tuple] = {
     "run.protocol": (_parse_choice(PROTOCOLS), _identity, RunConfig.protocol),
     "run.unknowns": (_parse_choice(UNKNOWN_MODES), _identity, RunConfig.unknowns),
     "run.epochs": (_parse_int, _at_least(1), None),
-    "run.lab_time_s": (_parse_float, _positive, None),
-    "run.epoch_time_ms": (_parse_float, _positive, None),
+    "run.lab_time_s": (_parse_float, _finite_ns(1e9), None),
+    "run.epoch_time_ms": (_parse_float, _finite_ns(1e6), None),
     "run.background_window": (_parse_int, _at_least(1), RunConfig.background_window),
     "run.seed": (_parse_int, _non_negative, None),
     "run.workflow": (_parse_choice(WORKFLOWS), _identity, RunConfig.workflow),
-    "run.selection": (_parse_choice(("argmax", "softmax")), _identity, RunConfig.selection),
-    "run.softmax_scale": (_parse_float, _positive, RunConfig.softmax_scale),
     "run.background_prior_exponent": (
         _parse_float, _identity, RunConfig.background_prior_exponent,
     ),
@@ -349,8 +359,6 @@ def parse_config(
         seed=values["run.seed"],
         workflow=values["run.workflow"],
         grid=grid,
-        selection=values["run.selection"],
-        softmax_scale=values["run.softmax_scale"],
         background_prior_exponent=values["run.background_prior_exponent"],
     )
     epoch_us = run.resolved_epoch_time_ms() * 1000.0

@@ -1,11 +1,11 @@
 """Background-averaging study: likelihood curves and run performance.
 
 The inset study evaluates the count likelihood as a function of the
-ratio R for a fixed signal observation while the background window
-grows; curves sharpen toward the known-background Poisson limit and the
-peak stays at the true R. The saturation study runs short inference
-batches at several window lengths and compares final frequency
-uncertainties.
+ratio R for one fixed signal observation (the INSET_* case) while the
+background window grows; curves sharpen toward the known-background
+Poisson limit and the peak stays at the true R. The saturation study
+runs short Bayes batches from a warm-start prior at several window
+lengths and compares final frequency uncertainties.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 
 from .instrument import TruthConfig
 from .likelihood import log_likelihood_counts
-from .particles import PriorSpec
 from .protocols import TauConfig
 from .runner import RunConfig, default_prior, run_batch
 
@@ -33,13 +32,9 @@ SATURATION_RUNS = 10
 SATURATION_EPOCHS = 220
 
 
-def likelihood_inset(
-    ratios=INSET_RATIOS,
-    m_s: int = INSET_M_S,
-    n_s: float = INSET_N_S,
-    rate: float = INSET_RATE,
-) -> tuple[np.ndarray, dict[int, np.ndarray], np.ndarray]:
-    """Peak-normalized likelihood curves over R per background multiple.
+def likelihood_inset() -> tuple[np.ndarray, dict[int, np.ndarray], np.ndarray]:
+    """Peak-normalized likelihood curves over R per background multiple
+    of the inset case (INSET_*).
 
     Background counts are taken at their expected value rate*m_b (real
     numbers; the closed form supports them). Returns (r_grid, curves,
@@ -48,13 +43,13 @@ def likelihood_inset(
     """
     r_grid = np.arange(R_GRID_STEP, 2.0 + R_GRID_STEP / 2, R_GRID_STEP)
     curves: dict[int, np.ndarray] = {}
-    for q in ratios:
-        m_b = q * m_s
-        n_b = rate * m_b
-        logl = log_likelihood_counts(n_s, m_s, n_b, m_b, r_grid)
+    for q in INSET_RATIOS:
+        m_b = q * INSET_M_S
+        n_b = INSET_RATE * m_b
+        logl = log_likelihood_counts(INSET_N_S, INSET_M_S, n_b, m_b, r_grid)
         curves[q] = np.exp(logl - logl.max())
-    mu = m_s * rate * r_grid
-    log_pois = n_s * np.log(mu) - mu
+    mu = INSET_M_S * INSET_RATE * r_grid
+    log_pois = INSET_N_S * np.log(mu) - mu
     poisson_ref = np.exp(log_pois - log_pois.max())
     return r_grid, curves, poisson_ref
 
@@ -73,25 +68,23 @@ def background_saturation(
     seed: int = 1,
     n_particles: int = 1500,
     workers: int = 1,
-    prior: PriorSpec | None = None,
 ) -> list[SaturationPoint]:
     """Final sigma_omega of short Bayes runs vs background window length.
 
     The window length (in epochs) sets the achieved m_b/m_s multiple.
     All window arms share seeds, so differences are driven by the window
-    alone. The default prior is a warm start (frequency known to ~1 %),
-    so the short runs sit in the converged regime where the background
-    window is what limits the uncertainty.
+    alone. The prior is a warm start (frequency known to ~1 %), so the
+    short runs sit in the converged regime where the background window
+    is what limits the uncertainty.
     """
-    if prior is None:
-        omega0 = truth.params.omega0
-        prior = default_prior(
-            "omega-only",
-            truth,
-            {"omega0": (omega0 - 0.1, omega0 + 0.1)},
-            n_particles=n_particles,
-            shrinkage=0.995,
-        )
+    omega0 = truth.params.omega0
+    prior = default_prior(
+        "omega-only",
+        truth,
+        {"omega0": (omega0 - 0.1, omega0 + 0.1)},
+        n_particles=n_particles,
+        shrinkage=0.995,
+    )
     base = RunConfig(
         protocol="bayes",
         unknowns="omega-only",

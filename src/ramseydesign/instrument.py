@@ -71,10 +71,6 @@ class EpochOutcome:
     n_b: int
     t_epoch_ns: int
 
-    @property
-    def t_epoch_us(self) -> float:
-        return self.t_epoch_ns / 1000.0
-
 
 def background_rate(truth: TruthConfig, t_now_us: float) -> float:
     """Background photons per sequence at virtual time ``t_now_us``."""

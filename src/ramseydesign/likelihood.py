@@ -80,13 +80,6 @@ def log_likelihood_general(n_s, m_s, n_b, m_b, r, background_prior_exponent=-1.0
     return out if out.ndim else float(out)
 
 
-def peak_ratio(data: EpochData) -> float:
-    """Ratio maximizing the likelihood: (n_s/m_s)/(n_b/m_b)."""
-    if data.n_s < 1 or data.n_b < 1:
-        raise ValueError("peak is defined for n_s >= 1 and n_b >= 1")
-    return (data.n_s / data.m_s) / (data.n_b / data.m_b)
-
-
 def _log_integrand(lam, n_s, m_s, n_b, m_b, r, nu):
     # Poisson(n_s; m_s R lam) * (m_b lam)^n_b e^(-m_b lam) * lam^nu,
     # log form without the count factorials (R- and lam-independent).

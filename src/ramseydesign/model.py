@@ -1,4 +1,4 @@
-"""Ramsey ratio model and expected photon counts.
+"""Ramsey ratio model.
 
 The measured quantity is the ratio of signal to background count rates,
 
@@ -70,12 +70,3 @@ def ratio_arrays(a, c, omega0, t2, tau):
 def ratio(params: RamseyParams, tau):
     """Evaluate R(theta) at precession time ``tau`` (us, scalar or array)."""
     return ratio_arrays(params.a, params.c, params.omega0, params.t2, tau)
-
-
-def expected_counts(params: RamseyParams, tau, m_s, lambda_b):
-    """Expected signal photon count over ``m_s`` sequences.
-
-    <n_s> = m_s * R(theta, tau) * lambda_b. Linear in both m_s and
-    lambda_b.
-    """
-    return m_s * ratio(params, tau) * lambda_b

@@ -3,7 +3,8 @@
 All three pick the next precession time from a discrete grid. The Bayes
 protocol scores every setting with an information-gain proxy per unit
 lab time, from the cloud's ratio moments computed by one blocked kernel
-for any set of unknowns; Tau applies tau = h / sigma_omega with a
+for any set of unknowns, and takes the best-scoring setting (ties broken
+uniformly at random); Tau applies tau = h / sigma_omega with a
 fallback to the top of the grid; Random draws uniformly.
 """
 
@@ -73,7 +74,7 @@ def utility_map(
     cloud: ParticleCloud,
     grid: SettingGrid,
     lambda_b_estimate: float,
-    overhead_us: float | None = None,
+    overhead_us: float,
 ) -> np.ndarray:
     """Per-setting utility U(tau), aligned with ``grid.taus``.
 
@@ -84,11 +85,10 @@ def utility_map(
         U = ln(1 + var(y) / mean(y))
 
     with mean(y) standing in for the Poisson measurement variance,
-    divided by the per-sequence duration tau + overhead when
-    ``overhead_us`` is given (lab time is the valued resource). This is
-    a documented proxy, not a closed-form entropy reduction. The moments
-    of R come from ``_ratio_moments`` whichever parameters the cloud
-    holds fixed.
+    divided by the per-sequence duration tau + overhead (lab time is
+    the valued resource). This is a documented proxy, not a closed-form
+    entropy reduction. The moments of R come from ``_ratio_moments``
+    whichever parameters the cloud holds fixed.
     """
     if lambda_b_estimate <= 0:
         raise ValueError("lambda_b_estimate must be > 0")
@@ -101,9 +101,7 @@ def utility_map(
         grid,
     )
     u = np.log1p(lambda_b_estimate * var_r / mean_r)
-    if overhead_us is not None:
-        u = u / (grid.taus + overhead_us)
-    return u
+    return u / (grid.taus + overhead_us)
 
 
 def _ratio_moments(w, a, c, omega0, t2, grid: SettingGrid):
@@ -150,27 +148,11 @@ def select_setting(
     utilities: np.ndarray,
     grid: SettingGrid,
     rng: np.random.Generator,
-    selection: str = "argmax",
-    softmax_scale: float = 1.0,
 ) -> float:
-    """Pick a setting from a utility map.
-
-    "argmax" breaks ties (within TIE_TOLERANCE of the max) uniformly at
-    random; "softmax" samples with probability proportional to
-    exp(U / softmax_scale).
-    """
-    if selection == "argmax":
-        candidates = np.flatnonzero(utilities >= utilities.max() - TIE_TOLERANCE)
-        idx = int(candidates[rng.integers(len(candidates))])
-    elif selection == "softmax":
-        if softmax_scale <= 0:
-            raise ValueError("softmax_scale must be > 0")
-        z = utilities / softmax_scale
-        p = np.exp(z - z.max())
-        p /= p.sum()
-        idx = int(rng.choice(len(utilities), p=p))
-    else:
-        raise ValueError(f"unknown selection rule {selection!r}")
+    """Setting of maximal utility; ties (within TIE_TOLERANCE of the
+    max) are broken uniformly at random."""
+    candidates = np.flatnonzero(utilities >= utilities.max() - TIE_TOLERANCE)
+    idx = int(candidates[rng.integers(len(candidates))])
     return float(grid.taus[idx])
 
 
@@ -180,12 +162,10 @@ def bayes_design(
     lambda_b_estimate: float,
     overhead_us: float,
     rng: np.random.Generator,
-    selection: str = "argmax",
-    softmax_scale: float = 1.0,
 ) -> tuple[float, np.ndarray]:
     """Utility-maximizing setting and the full utility map."""
     u = utility_map(cloud, grid, lambda_b_estimate, overhead_us)
-    return select_setting(u, grid, rng, selection, softmax_scale), u
+    return select_setting(u, grid, rng), u
 
 
 def tau_design(

@@ -79,6 +79,9 @@ PRIOR_BOUNDS = {
 SCALING_EPOCHS = 50
 SCALING_GRID = SettingGrid(tau_min=0.05, tau_max=5000.0, step=0.05)
 
+# Points of the common geometric grids a batch is reduced onto.
+BATCH_GRID_POINTS = 120
+
 
 class RunError(RuntimeError):
     """A run's posterior became degenerate or non-finite; the run was aborted."""
@@ -102,8 +105,6 @@ class RunConfig:
     seed: int = 1
     workflow: str = "concurrent-deterministic"
     grid: SettingGrid = field(default_factory=SettingGrid)
-    selection: str = "argmax"
-    softmax_scale: float = 1.0
     background_prior_exponent: float = -1.0
     design_particles: int = 0  # 0: utility over the whole cloud
     run_id: int = 0
@@ -119,10 +120,11 @@ class RunConfig:
             raise ValueError("exactly one of epochs / lab_time_s must be set")
         if self.epochs is not None and self.epochs < 1:
             raise ValueError("epoch budget must be >= 1")
-        if self.lab_time_s is not None and self.lab_time_s <= 0:
-            raise ValueError("lab-time budget must be > 0")
-        if self.epoch_time_ms is not None and self.epoch_time_ms <= 0:
-            raise ValueError("epoch_time_ms must be > 0")
+        # lab time is counted in integer ns, so those counts must be finite
+        if self.lab_time_s is not None and not 0 < self.lab_time_s * 1e9 < math.inf:
+            raise ValueError("lab-time budget must be > 0 and finite in ns")
+        if self.epoch_time_ms is not None and not 0 < self.epoch_time_ms * 1e6 < math.inf:
+            raise ValueError("epoch_time_ms must be > 0 and finite in ns")
         if self.background_window < 1:
             raise ValueError("background window must be >= 1")
         if self.design_particles < 0:
@@ -180,28 +182,11 @@ class RunTrace:
         return np.array([r.summary.mean["omega0"] for r in self.records])
 
 
-@dataclass(frozen=True)
-class SensitivityPoint:
-    """Field-uncertainty operating point: eta2 = sigma_B^2 * t_lab."""
-
-    t_lab_s: float
-    sigma_B_T: float
-    eta2_T2s: float
-
-
 def field_units(sigma_omega, t_lab_s):
     """sigma_B (T) and eta2 = sigma_B^2 * t_lab (T^2 s) of a frequency
     uncertainty (rad/us) at ``t_lab_s``; scalars or broadcasting arrays."""
     sigma_b = sigma_omega * 1e6 / GYROMAGNETIC_RAD_PER_S_PER_T
     return sigma_b, sigma_b * sigma_b * t_lab_s
-
-
-def sensitivity(sigma_omega: float, t_lab_s: float) -> SensitivityPoint:
-    """Convert a frequency uncertainty (rad/us) at ``t_lab_s`` to field units."""
-    if t_lab_s <= 0:
-        raise ValueError("t_lab must be > 0")
-    sigma_b, eta2 = field_units(sigma_omega, t_lab_s)
-    return SensitivityPoint(t_lab_s=t_lab_s, sigma_B_T=sigma_b, eta2_T2s=eta2)
 
 
 def snr_epoch_time_us(truth: TruthConfig, tau_us: float = 10.0) -> float:
@@ -275,8 +260,6 @@ def _design(
         lam_hat,
         truth.overhead_us,
         rng,
-        selection=run.selection,
-        softmax_scale=run.softmax_scale,
     )
     return tau
 
@@ -520,7 +503,6 @@ def run_batch(
     tau_config: TauConfig | None = None,
     workers: int = 1,
     keep_traces: bool = False,
-    grid_points: int = 120,
 ) -> BatchSummary:
     """Independent runs with derived seeds, reduced onto common grids.
 
@@ -536,7 +518,8 @@ def run_batch(
     ]
     try:
         if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            # the pool forks all its workers up front: start no idle ones
+            with ProcessPoolExecutor(max_workers=min(workers, n_runs)) as pool:
                 traces = list(pool.map(_run_one, jobs))
         else:
             traces = [_run_one(j) for j in jobs]
@@ -547,8 +530,8 @@ def run_batch(
     summary = BatchSummary(
         n_runs=n_runs,
         true_omega0=true_omega,
-        by_sequences=_locf_stats(traces, "cum_sequences", true_omega, grid_points),
-        by_labtime=_locf_stats(traces, "t_lab_ns", true_omega, grid_points),
+        by_sequences=_locf_stats(traces, "cum_sequences", true_omega, BATCH_GRID_POINTS),
+        by_labtime=_locf_stats(traces, "t_lab_ns", true_omega, BATCH_GRID_POINTS),
         traces=traces if keep_traces else None,
     )
     return summary
@@ -581,7 +564,6 @@ def tau_scaling_experiment(
     prior: PriorSpec | None = None,
     tau_config: TauConfig | None = None,
     grid: SettingGrid = SCALING_GRID,
-    background_window: int = RunConfig.background_window,
 ) -> TauScalingReport:
     """Idealized Tau-protocol scaling: fixed repeats, zero overhead.
 
@@ -605,7 +587,6 @@ def tau_scaling_experiment(
     for run_seed in derived_seeds(seed, n_runs):
         run = RunConfig(
             protocol="tau", workflow="series", epochs=epochs, seed=run_seed, grid=grid,
-            background_window=background_window,
         )
         trace = _run_epochs(run, truth, prior, tau_config, repeats=repeats_per_epoch)
         taus = trace.field_array("tau_us")

@@ -180,6 +180,15 @@ class TestCli:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["run.selection = argmax", "run.softmax_scale = 1.0"])
+    def test_removed_selection_keys_are_unknown(self, tmp_path, capsys, line):
+        cfg = tmp_path / "old.txt"
+        cfg.write_text(f"run.epochs = 2\n{line}\n")
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        key = line.split()[0]
+        assert f"{cfg}:2: unknown key {key!r}" in capsys.readouterr().err
+
     def test_resample_threshold_one_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.txt"
         cfg.write_text("run.epochs = 2\nprior.resample_threshold = 1\n")
@@ -215,6 +224,9 @@ class TestCli:
             "truth.lambda_b = inf",
             "truth.omega0 = inf",
             "truth.drift_amplitude = -inf",
+            # finite, but infinite once counted in integer nanoseconds
+            "run.lab_time_s = 1e300",
+            "run.epoch_time_ms = 1e306",
         ],
     )
     def test_infinite_value_is_config_error(self, tmp_path, capsys, line):

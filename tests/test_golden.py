@@ -9,7 +9,8 @@ Re-record only for a change meant to alter outputs:
 
     PYTHONPATH=src python tests/test_golden.py
 
-prints the current digests in the layout of the tables below.
+prints the current digests in the layout of the tables below, with a
+trailing ``# changed`` on each one that differs from its recorded value.
 """
 
 from __future__ import annotations
@@ -128,10 +129,10 @@ for _workflow in ("series", "concurrent"):
         )
 
 ECHO_DIGESTS = {
-    "default": "57a456f8d5049bf3181ae8df24c7832f30bfbe36cf68abae09e08b7d5fd25812",
-    "design-omega": "5211e96947827a55d366189b9fa70c5251d13e871a33552e38518a270ce07955",
-    "design-four": "bc1091b73ced04fa29ca2e1042bd89622de74ca294358ca7bc6c18cba33383ca",
-    "filter-batch": "99691c539a8c193a91dfb9bd2c5ba2268717589169ca8ef4ac27742bb05b833a",
+    "default": "d6c3a3b71804443a19c1e30736e85734d71f22c29c3a76e64c7558ad4d4176e2",
+    "design-omega": "d2a2b0411e4e581b01db94c696c4e449c834cf6a1c4af21046b5f742007ef322",
+    "design-four": "292c783d0b89a8d0838fc2670f2fd9567a34cc4254818c8e41adec2f2784793e",
+    "filter-batch": "7388507cce353fcd8952cd0094634e68c1c9cad3ea1087a011ef24149b37ca0c",
 }
 
 FILE_DIGESTS = {
@@ -226,14 +227,19 @@ def test_output_bytes(key, tmp_path, no_seed_env):
     assert _file_digest(key, tmp_path) == FILE_DIGESTS[key]
 
 
+def _table_row(key, digest, recorded) -> str:
+    mark = "" if digest == recorded[key] else "  # changed"
+    return f'    "{key}": "{digest}",{mark}'
+
+
 if __name__ == "__main__":
     print(f"RECORDED_ON = {(np.__version__, platform.machine())!r}")
     print("ECHO_DIGESTS = {")
     for name in ECHO_DIGESTS:
-        print(f'    "{name}": "{_echo_digest(name)}",')
+        print(_table_row(name, _echo_digest(name), ECHO_DIGESTS))
     print("}")
     print("FILE_DIGESTS = {")
     for key in FILE_DIGESTS:
         with tempfile.TemporaryDirectory() as tmp:
-            print(f'    "{key}": "{_file_digest(key, Path(tmp))}",')
+            print(_table_row(key, _file_digest(key, Path(tmp)), FILE_DIGESTS))
     print("}")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ramseydesign.model import RamseyParams, T2_INFINITE, expected_counts, ratio
+from ramseydesign.model import RamseyParams, T2_INFINITE, ratio
 
 PARAMS_INF = RamseyParams(a=0.8, c=0.13, omega0=9.4, t2=T2_INFINITE)
 
@@ -55,33 +55,6 @@ def test_infinite_t2_envelope_is_exactly_one():
     np.testing.assert_array_equal(
         ratio(p_plain, taus), 1.0 + (1.0 + np.cos(9.4 * taus))
     )
-
-
-def test_expected_counts_value():
-    # R = 0.904 at tau = 0 with the paper-default background rate
-    assert expected_counts(PARAMS_INF, 0.0, 100, 0.15) == pytest.approx(13.56)
-
-
-def test_expected_counts_zero_sequences():
-    assert expected_counts(PARAMS_INF, 3.7, 0, 0.15) == 0.0
-
-
-def test_expected_counts_contrastless_unit_baseline():
-    p = RamseyParams(a=1.0, c=0.0, omega0=5.0)
-    for tau in (0.0, 1.3, 17.0):
-        assert expected_counts(p, tau, 250, 0.15) == pytest.approx(250 * 0.15)
-
-
-def test_expected_counts_linear():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        tau = rng.uniform(0, 20)
-        m = rng.integers(1, 1000)
-        lam = rng.uniform(0.01, 1.0)
-        k = rng.uniform(0.1, 7.0)
-        base = expected_counts(PARAMS_INF, tau, m, lam)
-        assert expected_counts(PARAMS_INF, tau, k * m, lam) == pytest.approx(k * base)
-        assert expected_counts(PARAMS_INF, tau, m, k * lam) == pytest.approx(k * base)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
-"""Property tests of the design kernel and the resampler (hypothesis).
+"""Property tests of the likelihood, the design kernel and the resampler
+(hypothesis).
 
 Examples are derandomized, so every run checks the same cases.
 """
@@ -9,6 +10,7 @@ import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from ramseydesign.likelihood import EpochData, log_likelihood
 from ramseydesign.model import PARAM_NAMES
 from ramseydesign.particles import ParticleCloud, resample_if_needed
 from ramseydesign.protocols import SettingGrid, _ratio_moments, utility_map
@@ -54,6 +56,24 @@ def clouds(draw, min_particles=1, infinite_t2=True):
         shrinkage=0.98,
         rng=rng,
     )
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.integers(1, 3000),
+    st.integers(1, 40_000),
+    st.floats(0.0, 0.5),
+    st.floats(0.0, 0.5),
+    st.lists(st.floats(0.1, 2.0), min_size=1, max_size=20),
+)
+def test_likelihood_doubling_is_independent_of_ratio(m_s, m_b, rate_s, rate_b, rs):
+    # criterion 1's identity: doubling every count multiplies the
+    # likelihood by its square up to an R-independent factor
+    d = EpochData(round(rate_s * m_s), m_s, round(rate_b * m_b), m_b)
+    d2 = EpochData(2 * d.n_s, 2 * d.m_s, 2 * d.n_b, 2 * d.m_b)
+    r = np.array([1.0, *rs])
+    q = 2.0 * log_likelihood(d, r) - log_likelihood(d2, r)
+    assert np.max(np.abs(q - q[0])) < 1e-9
 
 
 @st.composite
@@ -133,3 +153,43 @@ def test_forced_resample_keeps_bounds_mean_and_uniform_weights(cloud, shrinkage,
     if central:
         # index draw plus jitter: the mean moves by O(std / sqrt(N))
         assert np.all(np.abs(x.mean(axis=0) - mean) <= 6.0 * std / math.sqrt(n) + 1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(clouds(min_particles=100, infinite_t2=False), st.floats(0.9, 1.0))
+def test_forced_resample_preserves_weighted_variance(cloud, shrinkage):
+    # 50 copies of each particle: the same weighted distribution, with
+    # N large enough for the tolerance below to be a few percent
+    cloud.values = np.tile(cloud.values, (50, 1))
+    cloud.weights = np.tile(cloud.weights, 50) / 50
+    n = cloud.n_particles
+    # squeeze the cloud into the central tenth of its bounds: the jitter
+    # sd is then at most sqrt(1 - 0.9^2) * 0.05 = 0.022 of the bound
+    # width, 20 sd from either bound, so clamping never changes a value
+    lo, hi = cloud.bounds[:, 0], cloud.bounds[:, 1]
+    cloud.values = lo + 0.45 * (hi - lo) + 0.1 * (cloud.values - lo)
+    cloud.shrinkage = shrinkage
+    cloud.resample_threshold = 0.999
+    assume(cloud.ess() < cloud.resample_threshold * n)
+    w = cloud.weights
+    dev = cloud.values - w @ cloud.values
+    var = w @ np.square(dev)
+    mu4 = w @ dev**4
+
+    resample_if_needed(cloud)
+
+    # x' - mean = s (x - mean) + e with x drawn by weight and e normal of
+    # variance (1 - s^2) var: mean var per column, fourth moment m4.
+    # The uniform-weight variance of N draws then has sd
+    # sqrt((m4 - var^2) / N) about var, less the squared sample mean's
+    # offset, E = var / N. Allow 6 sd (~1e-9 two-sided under the normal
+    # approximation) plus 36 var / N for a sample mean 6 sd out. A
+    # constant column keeps a variance of rounding alone: a mean of N
+    # terms is off by at most N ulp, so (N eps max|x|)^2.
+    s2 = shrinkage**2
+    m4 = s2 * s2 * mu4 + 6.0 * s2 * (1.0 - s2) * var**2 + 3.0 * (1.0 - s2) ** 2 * var**2
+    x = cloud.values
+    var_new = np.mean(np.square(x - x.mean(axis=0)), axis=0)
+    rounding = (n * np.finfo(float).eps * np.abs(x).max(axis=0)) ** 2
+    tol = 6.0 * np.sqrt(np.maximum(m4 - var**2, 0.0) / n) + 36.0 * var / n + rounding
+    assert np.all(np.abs(var_new - var) <= tol)

@@ -19,8 +19,8 @@ from ramseydesign.runner import (
     default_prior,
     derived_seeds,
     run_batch,
+    field_units,
     run_single,
-    sensitivity,
     snr_epoch_time_us,
     tau_scaling_experiment,
 )
@@ -44,6 +44,21 @@ class TestRunConfig:
             RunConfig()
         RunConfig(epochs=10)
         RunConfig(lab_time_s=0.5)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(lab_time_s=1e300),
+            dict(lab_time_s=math.nan),
+            dict(epochs=2, epoch_time_ms=1e306),
+            dict(epochs=2, epoch_time_ms=math.inf),
+        ],
+        ids=["lab-time-1e300", "lab-time-nan", "epoch-time-1e306", "epoch-time-inf"],
+    )
+    def test_time_without_a_finite_ns_count_rejected(self, kwargs):
+        # lab time is counted in integer ns: round(inf) would overflow
+        with pytest.raises(ValueError, match="finite in ns"):
+            RunConfig(**kwargs)
 
     def test_epoch_time_defaults(self):
         assert RunConfig(epochs=1, protocol="tau").resolved_epoch_time_ms() == 4.0
@@ -299,16 +314,16 @@ class TestInferenceFailure:
 
 class TestSensitivity:
     def test_unit_conversion(self):
-        pt = sensitivity(1.0, 1.0)
-        assert pt.sigma_B_T == pytest.approx(5.68410511e-6, rel=1e-8)
-        assert pt.eta2_T2s == pytest.approx(3.230905091e-11, rel=1e-8)
+        sigma_b, eta2 = field_units(1.0, 1.0)
+        assert sigma_b == pytest.approx(5.68410511e-6, rel=1e-8)
+        assert eta2 == pytest.approx(3.230905091e-11, rel=1e-8)
 
     def test_zero_sigma(self):
-        assert sensitivity(0.0, 2.0).eta2_T2s == 0.0
+        assert field_units(0.0, 2.0)[1] == 0.0
 
     def test_eta2_constant_under_sqrt_scaling(self):
         k = 0.4
-        vals = [sensitivity(k * t**-0.5, t).eta2_T2s for t in (0.5, 1.0, 7.0, 40.0)]
+        vals = [field_units(k * t**-0.5, t)[1] for t in (0.5, 1.0, 7.0, 40.0)]
         assert max(vals) / min(vals) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -333,6 +348,33 @@ class TestBatch:
         np.testing.assert_array_equal(
             s1.by_sequences.mean_sigma_omega, s2.by_sequences.mean_sigma_omega
         )
+
+    def test_pool_starts_no_more_workers_than_runs(self, monkeypatch):
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", InProcessPool)
+        cfg = RunConfig(protocol="random", epochs=5, seed=15)
+        s = run_batch(cfg, TRUTH, 2, prior=small_prior(), workers=64)
+        assert started == [2]
+        ref = run_batch(cfg, TRUTH, 2, prior=small_prior(), workers=1)
+        np.testing.assert_array_equal(
+            s.by_sequences.mean_sigma_omega, ref.by_sequences.mean_sigma_omega
+        )
+        run_batch(cfg, TRUTH, 3, prior=small_prior(), workers=2)
+        assert started == [2, 2]
 
     def test_needs_two_runs(self):
         cfg = RunConfig(protocol="random", epochs=5, seed=13)
