@@ -20,7 +20,13 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .demo import SATURATION_EPOCHS, SATURATION_RUNS
-from .instrument import DRIFT_KINDS, DriftSpec, TruthConfig
+from .instrument import (
+    DRIFT_KINDS,
+    POISSON_LAM_MAX,
+    DriftSpec,
+    TruthConfig,
+    sequence_duration_ns,
+)
 from .model import RamseyParams
 from .particles import PriorSpec
 from .protocols import SettingGrid, TauConfig
@@ -367,6 +373,30 @@ def parse_config(
             "run.epoch_time_ms must exceed truth.overhead_us",
             anchor("run.epoch_time_ms", "truth.overhead_us"),
         )
+    shortest_ns = sequence_duration_ns(grid.tau_min, truth.overhead_us)
+    if shortest_ns < 1:
+        raise ConfigError(
+            "a sequence at grid.tau_min_us plus truth.overhead_us must last at least 1 ns",
+            anchor("grid.tau_min_us", "truth.overhead_us"),
+        )
+    # Largest mean count of one epoch: the background rate, which no drift
+    # takes above lambda_b + |amplitude|, times max(1, a (1 + c)) >= R, per
+    # sequence, times the most sequences an epoch holds (those that fit at
+    # the shortest setting, or the study's fixed repeats).
+    per_sequence = (truth.lambda_b0 + abs(truth.drift.amplitude)) * max(
+        1.0, truth.params.a * (1.0 + truth.params.c)
+    )
+    max_sequences = POISSON_LAM_MAX / per_sequence
+    for sequences, keys in (
+        (round(epoch_us * 1000.0) // shortest_ns, ("run.epoch_time_ms", "grid.tau_min_us")),
+        (values["scaling.repeats"], ("scaling.repeats",)),
+    ):
+        if not sequences < max_sequences:
+            raise ConfigError(
+                f"{keys[0]}: an epoch would hold more than {max_sequences:.3g} sequences, "
+                "too many photons for numpy's Poisson sampler",
+                anchor(*keys, "truth.lambda_b", "truth.a"),
+            )
 
     cfg = ParsedConfig(
         run=run,

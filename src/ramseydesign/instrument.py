@@ -19,6 +19,9 @@ from .model import RamseyParams, ratio
 
 DRIFT_KINDS = ("none", "linear", "sinusoidal")
 
+# numpy's Generator.poisson raises "lam value too large" above this mean
+POISSON_LAM_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
+
 
 @dataclass(frozen=True)
 class DriftSpec:

@@ -33,6 +33,11 @@ class SettingGrid:
     def __post_init__(self):
         if not (0 < self.step < math.inf and 0 < self.tau_min <= self.tau_max < math.inf):
             raise ValueError("grid requires 0 < tau_min <= tau_max < inf and step > 0")
+        # sequences are timed in integer nanoseconds
+        if not self.tau_max * 1000.0 < math.inf:
+            raise ValueError(
+                f"grid tau_max {self.tau_max!r} is too large: its nanosecond count is not finite"
+            )
         # the last setting must be tau_max itself, up to rounding
         n = (self.tau_max - self.tau_min) / self.step
         if abs(n - round(n)) > 1e-9 * max(1.0, n):
@@ -109,31 +114,42 @@ def _ratio_moments(w, a, c, omega0, t2, grid: SettingGrid):
 
     With b = ceil(sqrt(G)) each setting is tau_k = tau_min + step*(b*p + q),
     so cos(omega*tau_k) follows by angle addition from per-particle
-    cos/sin tables of omega*(tau_min + step*b*p) and omega*step*q:
-    N*(b + ceil(G/b)) sincos instead of N*G cosines. The settings are
-    then scored one block of b at a time, so the working set is N*b;
-    the variance is taken in two passes about the mean.
+    cos/sin tables of omega*(tau_min + step*b*p) and omega*step*q. Each
+    table is built by complex rotation (``_rotation_table``): two complex
+    exponentials per particle, not two per row. The settings are then
+    scored one block of b at a time in two (b x N) buffers reused by
+    every block, written in place; the variance is taken in two passes
+    about the mean. Nothing is written into the arrays passed in.
     """
     n_set = len(grid)
     b = math.isqrt(n_set - 1) + 1
     n_blocks = -(-n_set // b)
+    omega0 = np.ascontiguousarray(omega0)
+    a = np.ascontiguousarray(a)
     # (setting, particle) layout: per-particle factors broadcast along rows
-    phase_q = np.multiply.outer(grid.step * np.arange(b), omega0)
-    cos_q, sin_q = np.cos(phase_q), np.sin(phase_q)
-    phase_p = np.multiply.outer(grid.tau_min + grid.step * b * np.arange(n_blocks), omega0)
-    cos_p, sin_p = np.cos(phase_p), np.sin(phase_p)
+    rot_q = _rotation_table(omega0, 0.0, grid.step, b)
+    cos_q, sin_q = np.ascontiguousarray(rot_q.real), np.ascontiguousarray(rot_q.imag)
+    rot_p = _rotation_table(omega0, grid.tau_min, grid.step * b, n_blocks)
+    cos_p, sin_p = np.ascontiguousarray(rot_p.real), np.ascontiguousarray(rot_p.imag)
+    del rot_q, rot_p  # freed before the block buffers: a lower peak
     taus_sq = np.square(grid.taus)
     amp = 0.5 * a * c
     decay = -1.0 / np.square(t2)  # 0 for t2 = inf: no envelope
     mean_r = np.empty(n_set)
     var_r = np.empty(n_set)
+    r_buf = np.empty((b, len(omega0)))
+    tmp_buf = np.empty_like(r_buf)
     for p in range(n_blocks):
         k = slice(p * b, min(p * b + b, n_set))
         width = k.stop - k.start
-        r = cos_p[p] * cos_q[:width]
-        r -= sin_p[p] * sin_q[:width]
+        r, tmp = r_buf[:width], tmp_buf[:width]
+        np.multiply(cos_p[p], cos_q[:width], out=r)
+        np.multiply(sin_p[p], sin_q[:width], out=tmp)
+        r -= tmp
         r += 1.0
-        r *= np.exp(np.multiply.outer(taus_sq[k], decay))
+        np.multiply.outer(taus_sq[k], decay, out=tmp)
+        np.exp(tmp, out=tmp)
+        r *= tmp
         r *= amp
         r += a
         m = r @ w
@@ -142,6 +158,22 @@ def _ratio_moments(w, a, c, omega0, t2, grid: SettingGrid):
         mean_r[k] = m
         var_r[k] = r @ w
     return mean_r, var_r
+
+
+def _rotation_table(omega, x0, dx, n):
+    """e^(i*omega*(x0 + j*dx)) for rows j < n, shape (n, len(omega)).
+
+    Row 0 is a complex exponential and every later row is the one before
+    times e^(i*omega*dx), so row j carries about j ulp of rounding. That
+    is no worse than the direct form: rounding omega*tau alone is off by
+    |omega*tau| ulp, and omega*tau reaches ~1e3 rad.
+    """
+    table = np.empty((n, len(omega)), dtype=complex)
+    table[0] = np.exp(1j * (x0 * omega))
+    turn = np.exp(1j * (dx * omega))
+    for j in range(1, n):
+        np.multiply(table[j - 1], turn, out=table[j])
+    return table
 
 
 def select_setting(

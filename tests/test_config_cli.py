@@ -204,8 +204,33 @@ class TestCli:
                 "run.epochs = 2\ntruth.drift = sinusoidal\ntruth.drift_amplitude = -0.2\n",
                 ":3: sinusoidal drift",
             ),
+            (
+                "run.epochs = 2\ngrid.tau_min_us = 1e305\ngrid.step_us = 1e305\n"
+                "grid.tau_max_us = 1e306\n",
+                ":2: grid tau_max 1e+306 is too large: its nanosecond count is not finite",
+            ),
+            (
+                "run.epochs = 2\ntruth.overhead_us = 0\ngrid.tau_min_us = 0.0001\n"
+                "grid.step_us = 0.0001\ngrid.tau_max_us = 0.001\n",
+                ":3: a sequence at grid.tau_min_us plus truth.overhead_us must last",
+            ),
+            (
+                "run.epochs = 2\nrun.protocol = tau\nrun.epoch_time_ms = 1e300\n",
+                ":3: run.epoch_time_ms: an epoch would hold more than 6.15e+19 sequences",
+            ),
+            (
+                f"run.epochs = 2\nscaling.repeats = {10**400}\n",
+                ":2: scaling.repeats: an epoch would hold more than",
+            ),
         ],
-        ids=["negative-seed", "drift-below-zero"],
+        ids=[
+            "negative-seed",
+            "drift-below-zero",
+            "grid-beyond-ns-clock",
+            "zero-ns-sequence",
+            "epoch-beyond-poisson-limit",
+            "repeats-beyond-poisson-limit",
+        ],
     )
     def test_value_rejected_at_run_is_config_error(self, tmp_path, capsys, text, where):
         cfg = tmp_path / "bad.txt"

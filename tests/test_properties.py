@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from ramseydesign.likelihood import EpochData, log_likelihood
 from ramseydesign.model import PARAM_NAMES
 from ramseydesign.particles import ParticleCloud, resample_if_needed
-from ramseydesign.protocols import SettingGrid, _ratio_moments, utility_map
+from ramseydesign.protocols import SettingGrid, _ratio_moments, _rotation_table, utility_map
 from ramseydesign.runner import PRIOR_BOUNDS
 
 PROPERTY_SETTINGS = settings(
@@ -121,6 +121,45 @@ def test_blocked_moments_match_direct_evaluation(cloud, grid):
     top = int(np.argmax(u_ref))
     # the same argmax, or one tied with it to within the tolerance above
     assert best == top or u_ref[best] + du[best] >= u_ref[top] - du[top]
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.integers(0, 2**32 - 1),
+    st.floats(1.0, 1e3),
+    st.one_of(st.just(0.0), st.floats(0.01, 2.0)),
+    st.floats(0.005, 2.0),
+    # b = 20 blocks of 20 settings for the default 399-setting grid
+    st.integers(1, 200),
+)
+def test_rotation_table_matches_direct_cos_sin(seed, omega_max, x0, dx, n):
+    omega = np.random.default_rng(seed).uniform(0.0, omega_max, size=64)
+    omega[0] = omega_max
+    table = _rotation_table(omega, x0, dx, n)
+    phase = omega * (x0 + dx * np.arange(n)[:, None])
+    # Error budget in u = eps/2, with tau = x0 + j dx. Angles: the table
+    # rounds omega*x0 and omega*dx (the latter carried j times), so
+    # |omega tau| u; the reference rounds j*dx, the sum and the product,
+    # 3 |omega tau| u. Values: each cos/sin is within 1 ulp (2u): the
+    # reference's, row 0's and the turn's, carried j times; each complex
+    # product adds sqrt(5) u. Total 4 |omega tau| u + (4 + (2 + sqrt 5) j) u,
+    # within the bound below.
+    eps = np.finfo(float).eps
+    j = np.arange(n)[:, None]
+    tol = eps * (2.0 * np.abs(omega) * (x0 + j * dx) + 4.0 * (j + 1))
+    assert np.all(np.abs(table.real - np.cos(phase)) <= tol)
+    assert np.all(np.abs(table.imag - np.sin(phase)) <= tol)
+
+
+@PROPERTY_SETTINGS
+@given(clouds(), grids())
+def test_utility_map_leaves_the_cloud_untouched(cloud, grid):
+    # a single-particle cloud's columns are contiguous, so the kernel's
+    # contiguous copies of them are the cloud's own arrays
+    values, weights = cloud.values.tobytes(), cloud.weights.tobytes()
+    utility_map(cloud, grid, 0.15, 4.07)
+    assert cloud.values.tobytes() == values
+    assert cloud.weights.tobytes() == weights
 
 
 @PROPERTY_SETTINGS
