@@ -25,7 +25,6 @@ from .particles import (
 from .protocols import (
     SettingGrid,
     TauConfig,
-    bayes_design,
     random_design,
     tau_design,
     utility_map,
@@ -61,7 +60,6 @@ __all__ = [
     "TauConfig",
     "TruthConfig",
     "background_rate",
-    "bayes_design",
     "bayes_update",
     "ci90",
     "default_prior",

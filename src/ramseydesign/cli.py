@@ -73,7 +73,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=None, help="override batch.workers"
     )
     p_batch.add_argument(
-        "--keep-traces", action="store_true", help="also write every run's trace"
+        "--keep-traces", dest="write_traces", action="store_true",
+        help="also write every run's trace",
     )
     p_demo = sub.add_parser(
         "likelihood-demo", help="background-averaging likelihood study"
@@ -145,13 +146,12 @@ def _cmd_batch(args) -> int:
         prior=cfg.prior,
         tau_config=cfg.tau,
         workers=cfg.workers,
-        keep_traces=args.keep_traces,
     )
     outputs = ["batch.csv"]
     write_batch(out / "batch.csv", summary)
-    if args.keep_traces and summary.traces:
+    if args.write_traces:
         for trace in summary.traces:
-            name = f"trace_{trace.run_id:04d}.csv"
+            name = f"trace_{trace.run.run_id:04d}.csv"
             write_trace(out / name, trace)
             outputs.append(name)
     _write_manifest(
@@ -159,7 +159,7 @@ def _cmd_batch(args) -> int:
         "batch",
         cfg,
         outputs,
-        {"n_runs": summary.n_runs, "wall_s": time.perf_counter() - t0},
+        {"n_runs": len(summary.traces), "wall_s": time.perf_counter() - t0},
     )
     return EXIT_OK
 

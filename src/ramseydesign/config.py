@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from .model import RamseyParams
 from .particles import PriorSpec
 from .protocols import SettingGrid, TauConfig
 from .runner import (
+    DEFAULT_UNKNOWNS,
     PRIOR_BOUNDS,
     PROTOCOLS,
     SCALING_EPOCHS,
@@ -137,7 +139,7 @@ _TRUTH = TruthConfig().params
 # module constant already sets are read from it.
 SCHEMA: dict[str, tuple] = {
     "run.protocol": (_parse_choice(PROTOCOLS), _identity, RunConfig.protocol),
-    "run.unknowns": (_parse_choice(UNKNOWN_MODES), _identity, RunConfig.unknowns),
+    "run.unknowns": (_parse_choice(UNKNOWN_MODES), _identity, DEFAULT_UNKNOWNS),
     "run.epochs": (_parse_int, _at_least(1), None),
     "run.lab_time_s": (_parse_float, _finite_ns(1e9), None),
     "run.epoch_time_ms": (_parse_float, _finite_ns(1e6), None),
@@ -357,7 +359,6 @@ def parse_config(
 
     run = RunConfig(
         protocol=values["run.protocol"],
-        unknowns=values["run.unknowns"],
         epochs=values["run.epochs"],
         lab_time_s=values["run.lab_time_s"],
         epoch_time_ms=values["run.epoch_time_ms"],
@@ -367,7 +368,7 @@ def parse_config(
         grid=grid,
         background_prior_exponent=values["run.background_prior_exponent"],
     )
-    epoch_us = run.resolved_epoch_time_ms() * 1000.0
+    epoch_us = run.resolved_epoch_time_ms(prior) * 1000.0
     if epoch_us <= truth.overhead_us:
         raise ConfigError(
             "run.epoch_time_ms must exceed truth.overhead_us",
@@ -397,6 +398,23 @@ def parse_config(
                 "too many photons for numpy's Poisson sampler",
                 anchor(*keys, "truth.lambda_b", "truth.a"),
             )
+    # The integer-ns lab clock is read as a float. An epoch lasts at most
+    # its allocation or one sequence at the longest setting, so the clock
+    # ends below epochs times that, or the lab-time budget plus one epoch.
+    longest_ns = max(
+        round(epoch_us * 1000.0), sequence_duration_ns(grid.tau_max, truth.overhead_us)
+    )
+    if values["run.epochs"] is not None:
+        budget_key, clock_ns = "run.epochs", values["run.epochs"] * longest_ns
+    else:
+        budget_key = "run.lab_time_s"
+        clock_ns = round(values["run.lab_time_s"] * 1e9) + longest_ns
+    if clock_ns > sys.float_info.max:
+        raise ConfigError(
+            f"{budget_key}: the lab clock could pass {sys.float_info.max:.3g} ns, "
+            "beyond the float range",
+            anchor(budget_key, "grid.tau_max_us", "run.epoch_time_ms", "truth.overhead_us"),
+        )
 
     cfg = ParsedConfig(
         run=run,

@@ -87,7 +87,6 @@ def background_saturation(
     )
     base = RunConfig(
         protocol="bayes",
-        unknowns="omega-only",
         epochs=epochs,
         seed=seed,
         workflow="concurrent-deterministic",
@@ -96,8 +95,7 @@ def background_saturation(
     for w in window_ratios:
         cfg = replace(base, background_window=int(w))
         summary = run_batch(
-            cfg, truth, runs, prior=prior, tau_config=TauConfig(),
-            workers=workers, keep_traces=True,
+            cfg, truth, runs, prior=prior, tau_config=TauConfig(), workers=workers
         )
         finals = [t.records[-1].summary.std["omega0"] for t in summary.traces]
         points.append(SaturationPoint(int(w), float(np.mean(finals))))

@@ -78,7 +78,7 @@ def write_trace(path, trace: RunTrace) -> Path:
         for rec in trace.records:
             stats = {}
             for name in ("a", "c", "omega0", "t2"):
-                if rec.summary is not None and name in rec.summary.mean:
+                if name in rec.summary.mean:
                     stats[name] = (rec.summary.mean[name], rec.summary.std[name])
                 else:
                     stats[name] = (truth[name], 0.0)
@@ -86,9 +86,9 @@ def write_trace(path, trace: RunTrace) -> Path:
             sigma_b, eta2 = field_units(stats["omega0"][1], t_lab_s)
             w.writerow(
                 [
-                    trace.run_id,
+                    trace.run.run_id,
                     rec.epoch,
-                    trace.protocol,
+                    trace.run.protocol,
                     _fmt(rec.tau_us),
                     rec.m_s,
                     rec.n_s,

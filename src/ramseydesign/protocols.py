@@ -188,18 +188,6 @@ def select_setting(
     return float(grid.taus[idx])
 
 
-def bayes_design(
-    cloud: ParticleCloud,
-    grid: SettingGrid,
-    lambda_b_estimate: float,
-    overhead_us: float,
-    rng: np.random.Generator,
-) -> tuple[float, np.ndarray]:
-    """Utility-maximizing setting and the full utility map."""
-    u = utility_map(cloud, grid, lambda_b_estimate, overhead_us)
-    return select_setting(u, grid, rng), u
-
-
 def tau_design(
     sigma_omega: float,
     config: TauConfig,

@@ -49,10 +49,18 @@ from .particles import (
     resample_if_needed,
     summarize,
 )
-from .protocols import SettingGrid, TauConfig, bayes_design, random_design, tau_design
+from .protocols import (
+    SettingGrid,
+    TauConfig,
+    random_design,
+    select_setting,
+    tau_design,
+    utility_map,
+)
 
 PROTOCOLS = ("bayes", "tau", "random")
 UNKNOWN_MODES = ("omega-only", "all-four")
+DEFAULT_UNKNOWNS = "omega-only"  # the prior of a run given none
 WORKFLOWS = ("series", "concurrent", "concurrent-deterministic")
 
 # NV gyromagnetic ratio, 2*pi * 28 GHz/T, in rad s^-1 T^-1.
@@ -60,9 +68,10 @@ GYROMAGNETIC_RAD_PER_S_PER_T = 2.0 * math.pi * 28e9
 
 # Default per-epoch measurement allocations (ms): 4 ms for Tau/Random;
 # Bayes deterministic epochs mirror the reported mean computation times
-# of 4.4 ms (single unknown) and 13 ms (four unknowns).
+# of 4.4 ms (one unknown) and 13 ms (more than one).
 DEFAULT_EPOCH_MS_TAU_RANDOM = 4.0
-DEFAULT_EPOCH_MS_BAYES = {"omega-only": 4.4, "all-four": 13.0}
+DEFAULT_EPOCH_MS_BAYES_ONE = 4.4
+DEFAULT_EPOCH_MS_BAYES_MANY = 13.0
 
 # Engineering-default uniform prior bounds; the paper states none.
 PRIOR_BOUNDS = {
@@ -93,11 +102,11 @@ class RunConfig:
 
     Exactly one of ``epochs`` / ``lab_time_s`` must be set. When
     ``epoch_time_ms`` is omitted it defaults per protocol (4 ms for
-    tau/random; 4.4 or 13 ms for deterministic Bayes epochs).
+    tau/random; for Bayes 4.4 ms with one unknown in the prior, 13 ms
+    with more). The prior, not this config, states what a run infers.
     """
 
     protocol: str = "bayes"
-    unknowns: str = "omega-only"
     epochs: int | None = None
     lab_time_s: float | None = None
     epoch_time_ms: float | None = None
@@ -112,8 +121,6 @@ class RunConfig:
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"protocol must be one of {PROTOCOLS}")
-        if self.unknowns not in UNKNOWN_MODES:
-            raise ValueError(f"unknowns must be one of {UNKNOWN_MODES}")
         if self.workflow not in WORKFLOWS:
             raise ValueError(f"workflow must be one of {WORKFLOWS}")
         if (self.epochs is None) == (self.lab_time_s is None):
@@ -130,11 +137,12 @@ class RunConfig:
         if self.design_particles < 0:
             raise ValueError("design_particles must be >= 0")
 
-    def resolved_epoch_time_ms(self) -> float:
+    def resolved_epoch_time_ms(self, prior: PriorSpec) -> float:
         if self.epoch_time_ms is not None:
             return self.epoch_time_ms
         if self.protocol == "bayes":
-            return DEFAULT_EPOCH_MS_BAYES[self.unknowns]
+            one = len(prior.bounds) == 1
+            return DEFAULT_EPOCH_MS_BAYES_ONE if one else DEFAULT_EPOCH_MS_BAYES_MANY
         return DEFAULT_EPOCH_MS_TAU_RANDOM
 
 
@@ -154,20 +162,12 @@ class EpochRecord:
     design_from_epoch: int  # newest data epoch the design had seen; -1 if none
     summary: PosteriorSummary | None = None
 
-    @property
-    def t_lab_s(self) -> float:
-        return self.t_lab_ns * 1e-9
-
 
 @dataclass
 class RunTrace:
     """Per-epoch time series of one run, plus its final posterior's interval."""
 
-    run_id: int
-    protocol: str
-    unknowns: str
-    workflow: str
-    seed: int
+    run: RunConfig
     truth: TruthConfig
     records: list[EpochRecord]
     final_ci90: dict[str, tuple[float, float]]
@@ -204,21 +204,22 @@ def snr_epoch_time_us(truth: TruthConfig, tau_us: float = 10.0) -> float:
 
 
 def default_prior(
-    unknowns: str,
+    mode: str,
     truth: TruthConfig,
     bounds: dict[str, tuple[float, float]] | None = None,
     **tuning,
 ) -> PriorSpec:
-    """Uniform prior over the unknowns; known coordinates pin to truth.
+    """Uniform prior over the unknowns of ``mode`` (one of UNKNOWN_MODES);
+    known coordinates pin to truth.
 
     ``bounds`` replaces entries of PRIOR_BOUNDS; ``tuning`` passes the
     filter knobs (n_particles, resample_threshold, shrinkage) through to
     PriorSpec, whose defaults apply otherwise.
     """
-    if unknowns not in UNKNOWN_MODES:
+    if mode not in UNKNOWN_MODES:
         raise ValueError(f"unknowns must be one of {UNKNOWN_MODES}")
     table = {**PRIOR_BOUNDS, **(bounds or {})}
-    names = ("omega0",) if unknowns == "omega-only" else PARAM_NAMES
+    names = ("omega0",) if mode == "omega-only" else PARAM_NAMES
     return PriorSpec(
         bounds={n: table[n] for n in names},
         fixed={n: getattr(truth.params, n) for n in PARAM_NAMES if n not in names},
@@ -254,14 +255,8 @@ def _design(
             values=cloud.values[idx],
             weights=np.full(n_sub, 1.0 / n_sub),
         )
-    tau, _ = bayes_design(
-        design_cloud,
-        run.grid,
-        lam_hat,
-        truth.overhead_us,
-        rng,
-    )
-    return tau
+    utilities = utility_map(design_cloud, run.grid, lam_hat, truth.overhead_us)
+    return select_setting(utilities, run.grid, rng)
 
 
 def _epoch_step(
@@ -312,10 +307,10 @@ def _run_epochs(
     ``repeats`` fixes the sequences per epoch (the scaling study);
     otherwise an epoch measures as many sequences as fit its duration.
     """
-    alloc_ms = run.resolved_epoch_time_ms()
+    prior = prior or default_prior(DEFAULT_UNKNOWNS, truth)
+    alloc_ms = run.resolved_epoch_time_ms(prior)
     if alloc_ms * 1000.0 <= truth.overhead_us:
         raise ValueError("epoch time allocation must exceed the sequence overhead")
-    prior = prior or default_prior(run.unknowns, truth)
     tau_config = tau_config or TauConfig()
 
     rng = np.random.default_rng(run.seed)
@@ -401,16 +396,7 @@ def _run_epochs(
     for rec, rec_summary in zip(records, summaries):
         rec.summary = rec_summary
 
-    return RunTrace(
-        run_id=run.run_id,
-        protocol=run.protocol,
-        unknowns=run.unknowns,
-        workflow=run.workflow,
-        seed=run.seed,
-        truth=truth,
-        records=records,
-        final_ci90=ci90(cloud),
-    )
+    return RunTrace(run=run, truth=truth, records=records, final_ci90=ci90(cloud))
 
 
 @dataclass
@@ -427,11 +413,9 @@ class BatchGridStats:
 
 @dataclass
 class BatchSummary:
-    n_runs: int
-    true_omega0: float
     by_sequences: BatchGridStats
     by_labtime: BatchGridStats
-    traces: list[RunTrace] | None = None
+    traces: list[RunTrace]
 
 
 def derived_seeds(seed: int, n: int) -> list[int]:
@@ -502,7 +486,6 @@ def run_batch(
     prior: PriorSpec | None = None,
     tau_config: TauConfig | None = None,
     workers: int = 1,
-    keep_traces: bool = False,
 ) -> BatchSummary:
     """Independent runs with derived seeds, reduced onto common grids.
 
@@ -527,14 +510,11 @@ def run_batch(
         raise RunError(f"batch aborted: {exc}") from exc
 
     true_omega = truth.params.omega0
-    summary = BatchSummary(
-        n_runs=n_runs,
-        true_omega0=true_omega,
+    return BatchSummary(
         by_sequences=_locf_stats(traces, "cum_sequences", true_omega, BATCH_GRID_POINTS),
         by_labtime=_locf_stats(traces, "t_lab_ns", true_omega, BATCH_GRID_POINTS),
-        traces=traces if keep_traces else None,
+        traces=traces,
     )
-    return summary
 
 
 @dataclass

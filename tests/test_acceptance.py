@@ -97,8 +97,7 @@ def single_batches():
             design_particles=dp,
         )
         batches[proto] = rd.run_batch(
-            cfg, TRUTH_SINGLE, BATCH_RUNS, prior=prior,
-            keep_traces=True, workers=WORKERS,
+            cfg, TRUTH_SINGLE, BATCH_RUNS, prior=prior, workers=WORKERS,
         )
     return batches
 
@@ -109,7 +108,6 @@ def four_batches():
     for proto, n, dp in (("bayes", 3000, 800), ("random", 4000, 0)):
         cfg = rd.RunConfig(
             protocol=proto,
-            unknowns="all-four",
             lab_time_s=FOUR_LAB_S,
             seed=BATCH_SEED + 1,
             workflow="concurrent-deterministic",
@@ -120,7 +118,6 @@ def four_batches():
             TRUTH_FOUR,
             BATCH_RUNS,
             prior=replace(PRIOR_FOUR, n_particles=n),
-            keep_traces=True,
             workers=WORKERS,
         )
     return batches
@@ -303,8 +300,7 @@ def test_criterion_8_calibration_and_biased_prior_exponent():
         workflow="concurrent-deterministic",
     )
     cal = rd.run_batch(
-        cfg, TRUTH_SINGLE, CAL_RUNS, prior=PRIOR_SINGLE,
-        keep_traces=True, workers=WORKERS,
+        cfg, TRUTH_SINGLE, CAL_RUNS, prior=PRIOR_SINGLE, workers=WORKERS,
     )
     covered = 0
     within4 = 0
@@ -322,7 +318,6 @@ def test_criterion_8_calibration_and_biased_prior_exponent():
     # single-epoch background window where the bias is strongest
     cfg_nu = rd.RunConfig(
         protocol="random",
-        unknowns="all-four",
         epochs=3000,
         epoch_time_ms=2.0,
         seed=BATCH_SEED + 4,
@@ -331,8 +326,7 @@ def test_criterion_8_calibration_and_biased_prior_exponent():
         background_prior_exponent=0.0,
     )
     biased = rd.run_batch(
-        cfg_nu, TRUTH_FOUR, CAL_RUNS, prior=PRIOR_FOUR,
-        keep_traces=True, workers=WORKERS,
+        cfg_nu, TRUTH_FOUR, CAL_RUNS, prior=PRIOR_FOUR, workers=WORKERS,
     )
     hits = 0
     for trace in biased.traces:

@@ -222,6 +222,11 @@ class TestCli:
                 f"run.epochs = 2\nscaling.repeats = {10**400}\n",
                 ":2: scaling.repeats: an epoch would hold more than",
             ),
+            (
+                "grid.tau_min_us = 1e305\ngrid.step_us = 5e304\ngrid.tau_max_us = 1.5e305\n"
+                "run.epochs = 5\nrun.protocol = random\n",
+                ":4: run.epochs: the lab clock could pass 1.8e+308 ns",
+            ),
         ],
         ids=[
             "negative-seed",
@@ -230,6 +235,7 @@ class TestCli:
             "zero-ns-sequence",
             "epoch-beyond-poisson-limit",
             "repeats-beyond-poisson-limit",
+            "lab-clock-beyond-float-range",
         ],
     )
     def test_value_rejected_at_run_is_config_error(self, tmp_path, capsys, text, where):

@@ -61,18 +61,22 @@ class TestRunConfig:
             RunConfig(**kwargs)
 
     def test_epoch_time_defaults(self):
-        assert RunConfig(epochs=1, protocol="tau").resolved_epoch_time_ms() == 4.0
-        assert RunConfig(epochs=1, protocol="random").resolved_epoch_time_ms() == 4.0
-        assert RunConfig(epochs=1, protocol="bayes").resolved_epoch_time_ms() == 4.4
-        assert (
-            RunConfig(
-                epochs=1, protocol="bayes", unknowns="all-four"
-            ).resolved_epoch_time_ms()
-            == 13.0
-        )
-        assert (
-            RunConfig(epochs=1, epoch_time_ms=2.5).resolved_epoch_time_ms() == 2.5
-        )
+        # the Bayes default follows the prior's unknowns, not any RunConfig field
+        one = default_prior("omega-only", TRUTH)
+        four = default_prior("all-four", TRUTH)
+        for prior in (one, four):
+            assert RunConfig(epochs=1, protocol="tau").resolved_epoch_time_ms(prior) == 4.0
+            assert RunConfig(epochs=1, protocol="random").resolved_epoch_time_ms(prior) == 4.0
+            assert RunConfig(epochs=1, epoch_time_ms=2.5).resolved_epoch_time_ms(prior) == 2.5
+        assert RunConfig(epochs=1, protocol="bayes").resolved_epoch_time_ms(one) == 4.4
+        assert RunConfig(epochs=1, protocol="bayes").resolved_epoch_time_ms(four) == 13.0
+
+    def test_bayes_epochs_follow_the_prior(self):
+        # deterministic Bayes epochs record their allocation as calc time
+        cfg = RunConfig(protocol="bayes", epochs=2, seed=2)
+        for mode, ms in (("omega-only", 4.4), ("all-four", 13.0)):
+            trace = run_single(cfg, TRUTH, default_prior(mode, TRUTH, n_particles=300))
+            assert [rec.t_calc_s for rec in trace.records] == [ms * 1e-3] * 2
 
 
 class TestRunSingle:
@@ -118,6 +122,35 @@ class TestRunSingle:
             trace = run_single(cfg, TRUTH, small_prior())
             for i, rec in enumerate(trace.records):
                 assert rec.design_from_epoch == max(i - 2, -1)
+
+    @pytest.mark.parametrize("workflow", WORKFLOWS)
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_design_sees_the_epochs_absorbed_before_it(self, protocol, workflow, monkeypatch):
+        # count the epochs the filter had absorbed when each setting was
+        # designed, rather than trusting the lag the runner writes down
+        absorbed = 0
+        designs = []  # (epochs absorbed, setting) per design call
+        update, design = runner.bayes_update, runner._design
+
+        def counting_update(*args, **kwargs):
+            nonlocal absorbed
+            absorbed += 1
+            return update(*args, **kwargs)
+
+        def recording_design(*args, **kwargs):
+            tau = design(*args, **kwargs)
+            designs.append((absorbed, tau))
+            return tau
+
+        monkeypatch.setattr(runner, "bayes_update", counting_update)
+        monkeypatch.setattr(runner, "_design", recording_design)
+        cfg = RunConfig(protocol=protocol, epochs=10, seed=26, workflow=workflow)
+        trace = run_single(cfg, TRUTH, small_prior(300))
+        # one design per epoch, plus the setting after the last epoch
+        assert len(designs) == len(trace.records) + 1
+        for rec, (seen, tau) in zip(trace.records, designs):
+            assert rec.tau_us == tau
+            assert rec.design_from_epoch == seen - 1
 
     def test_every_record_has_summary(self):
         for wf in ("series", "concurrent", "concurrent-deterministic"):
@@ -206,8 +239,9 @@ class TestTimingRule:
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_series_charges_only_bayes_calc_to_lab_time(self, protocol, fixed_step_clock):
         cfg = RunConfig(protocol=protocol, lab_time_s=0.03, seed=21, workflow="series")
-        trace = run_single(cfg, TRUTH, small_prior(300))
-        alloc_ns = round(cfg.resolved_epoch_time_ms() * 1e6)
+        prior = small_prior(300)
+        trace = run_single(cfg, TRUTH, prior)
+        alloc_ns = round(cfg.resolved_epoch_time_ms(prior) * 1e6)
         before = 0
         for rec in trace.records:
             seq_ns = sequence_duration_ns(rec.tau_us, TRUTH.overhead_us)
@@ -222,8 +256,9 @@ class TestTimingRule:
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_concurrent_epoch_lasts_the_calc_for_bayes(self, protocol, fixed_step_clock):
         cfg = RunConfig(protocol=protocol, lab_time_s=0.02, seed=22, workflow="concurrent")
-        trace = run_single(cfg, TRUTH, small_prior(300))
-        alloc_ns = round(cfg.resolved_epoch_time_ms() * 1e6)
+        prior = small_prior(300)
+        trace = run_single(cfg, TRUTH, prior)
+        alloc_ns = round(cfg.resolved_epoch_time_ms(prior) * 1e6)
         before = 0
         for rec in trace.records:
             seq_ns = sequence_duration_ns(rec.tau_us, TRUTH.overhead_us)
@@ -239,8 +274,9 @@ class TestTimingRule:
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_deterministic_records_the_allocation_for_bayes(self, protocol, fixed_step_clock):
         cfg = RunConfig(protocol=protocol, epochs=6, seed=23)
-        trace = run_single(cfg, TRUTH, small_prior(300))
-        expected = cfg.resolved_epoch_time_ms() * 1e-3 if protocol == "bayes" else 0.0
+        prior = small_prior(300)
+        trace = run_single(cfg, TRUTH, prior)
+        expected = cfg.resolved_epoch_time_ms(prior) * 1e-3 if protocol == "bayes" else 0.0
         assert [rec.t_calc_s for rec in trace.records] == [expected] * 6
 
 
@@ -252,10 +288,10 @@ class TestFaultInjection:
         # nu = -1 each epoch's likelihood is then flat in R
         truth = replace(TRUTH, lambda_b0=1e-12)
 
-        def no_bayes_design(*args, **kwargs):
+        def no_utility_map(*args, **kwargs):
             raise AssertionError("lambda_b estimate is 0: Bayes must pick at random")
 
-        monkeypatch.setattr(runner, "bayes_design", no_bayes_design)
+        monkeypatch.setattr(runner, "utility_map", no_utility_map)
         cfg = RunConfig(protocol=protocol, epochs=8, seed=24, workflow=workflow)
         trace = run_single(cfg, truth, small_prior(300))
         assert len(trace.records) == 8
@@ -272,7 +308,7 @@ class TestFaultInjection:
         prior = default_prior(
             "all-four", truth, {"omega0": (9.4, 9.4 + 1e-12)}, n_particles=500
         )
-        cfg = RunConfig(protocol="bayes", unknowns="all-four", epochs=30, seed=25)
+        cfg = RunConfig(protocol="bayes", epochs=30, seed=25)
         trace = run_single(cfg, truth, prior)
         assert len(trace.records) == 30
         for rec in trace.records:
@@ -383,7 +419,7 @@ class TestBatch:
 
     def test_batch_grids_and_band(self):
         cfg = RunConfig(protocol="random", epochs=40, seed=14)
-        s = run_batch(cfg, TRUTH, 5, prior=small_prior(), keep_traces=True)
+        s = run_batch(cfg, TRUTH, 5, prior=small_prior())
         st = s.by_sequences
         assert np.all(np.diff(st.grid) > 0)
         assert np.all(st.p5_sigma_omega <= st.p95_sigma_omega + 1e-15)
