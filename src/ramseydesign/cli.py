@@ -19,7 +19,13 @@ from pathlib import Path
 from . import __version__
 from .config import ConfigError, ParsedConfig, parse_config
 from .demo import background_saturation, likelihood_inset
-from .output import write_batch, write_scaling, write_trace
+from .output import (
+    write_batch,
+    write_likelihood_inset,
+    write_saturation,
+    write_scaling,
+    write_trace,
+)
 from .runner import (
     PROTOCOLS,
     UNKNOWN_MODES,
@@ -55,35 +61,21 @@ def _build_parser() -> argparse.ArgumentParser:
         "statistics, likelihood demo, Tau-protocol scaling.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, protocol_flags=True):
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.__doc__)
         p.add_argument("--config", type=Path, default=None, help="config file path")
         p.add_argument("--out", type=Path, required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="seed override")
-        if protocol_flags:
+        if name in ("run", "batch"):
             p.add_argument("--protocol", choices=PROTOCOLS, default=None)
             p.add_argument("--unknowns", choices=UNKNOWN_MODES, default=None)
-
-    p_run = sub.add_parser("run", help="single run, per-epoch trace")
-    common(p_run)
-    p_batch = sub.add_parser("batch", help="many runs, pointwise statistics")
-    common(p_batch)
-    p_batch.add_argument("--runs", type=int, default=None, help="override batch.runs")
-    p_batch.add_argument(
-        "--workers", type=int, default=None, help="override batch.workers"
-    )
-    p_batch.add_argument(
-        "--keep-traces", dest="write_traces", action="store_true",
-        help="also write every run's trace",
-    )
-    p_demo = sub.add_parser(
-        "likelihood-demo", help="background-averaging likelihood study"
-    )
-    common(p_demo, protocol_flags=False)
-    p_scale = sub.add_parser(
-        "tau-scaling", help="idealized constant-repeats Tau scaling report"
-    )
-    common(p_scale, protocol_flags=False)
+        if name == "batch":
+            p.add_argument("--runs", type=int, default=None, help="override batch.runs")
+            p.add_argument("--workers", type=int, default=None, help="override batch.workers")
+            p.add_argument(
+                "--keep-traces", dest="write_traces", action="store_true",
+                help="also write every run's trace",
+            )
     return parser
 
 
@@ -98,47 +90,15 @@ def _load(args) -> ParsedConfig:
     return parse_config(args.config, overrides, sources)
 
 
-def _prepare_out(args, cfg: ParsedConfig) -> Path:
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    (out / SIDECAR_NAME).write_text(cfg.echo())
-    return out
-
-
-def _write_manifest(out: Path, command: str, cfg: ParsedConfig, outputs, extra=None):
-    manifest = {
-        "command": command,
-        "package_version": __version__,
-        "seed": cfg.run.seed,
-        "effective_config": SIDECAR_NAME,
-        "outputs": sorted(outputs),
-        "t_snr_us_at_tau10": snr_epoch_time_us(cfg.truth),
-    }
-    if extra:
-        manifest.update(extra)
-    (out / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True))
-
-
-def _cmd_run(args) -> int:
-    cfg = _load(args)
-    out = _prepare_out(args, cfg)
-    t0 = time.perf_counter()
+def _cmd_run(cfg: ParsedConfig, out: Path, args):
+    """Single run: a per-epoch trace."""
     trace = run_single(cfg.run, cfg.truth, cfg.prior, cfg.tau)
     write_trace(out / "trace.csv", trace)
-    _write_manifest(
-        out,
-        "run",
-        cfg,
-        ["trace.csv"],
-        {"epochs_measured": len(trace.records), "wall_s": time.perf_counter() - t0},
-    )
-    return EXIT_OK
+    return ["trace.csv"], {"epochs_measured": len(trace.records)}
 
 
-def _cmd_batch(args) -> int:
-    cfg = _load(args)
-    out = _prepare_out(args, cfg)
-    t0 = time.perf_counter()
+def _cmd_batch(cfg: ParsedConfig, out: Path, args):
+    """Many runs: pointwise statistics on common grids."""
     summary = run_batch(
         cfg.run,
         cfg.truth,
@@ -154,29 +114,12 @@ def _cmd_batch(args) -> int:
             name = f"trace_{trace.run.run_id:04d}.csv"
             write_trace(out / name, trace)
             outputs.append(name)
-    _write_manifest(
-        out,
-        "batch",
-        cfg,
-        outputs,
-        {"n_runs": len(summary.traces), "wall_s": time.perf_counter() - t0},
-    )
-    return EXIT_OK
+    return outputs, {"n_runs": len(summary.traces)}
 
 
-def _cmd_demo(args) -> int:
-    cfg = _load(args)
-    out = _prepare_out(args, cfg)
-    t0 = time.perf_counter()
-    r_grid, curves, poisson_ref = likelihood_inset()
-    with (out / "likelihood_inset.csv").open("w") as fh:
-        cols = ["R"] + [f"mb_over_ms_{q}" for q in sorted(curves)] + ["poisson"]
-        fh.write(",".join(cols) + "\n")
-        for i, r in enumerate(r_grid):
-            row = [repr(float(r))]
-            row += [repr(float(curves[q][i])) for q in sorted(curves)]
-            row.append(repr(float(poisson_ref[i])))
-            fh.write(",".join(row) + "\n")
+def _cmd_demo(cfg: ParsedConfig, out: Path, args):
+    """Background-averaging likelihood study."""
+    write_likelihood_inset(out / "likelihood_inset.csv", *likelihood_inset())
     points = background_saturation(
         truth=cfg.truth,
         runs=cfg.demo.saturation_runs,
@@ -184,24 +127,12 @@ def _cmd_demo(args) -> int:
         seed=cfg.run.seed,
         workers=cfg.workers,
     )
-    with (out / "background_saturation.csv").open("w") as fh:
-        fh.write("window_ratio,mean_final_sigma_omega\n")
-        for pt in points:
-            fh.write(f"{pt.window_ratio},{pt.mean_final_sigma_omega!r}\n")
-    _write_manifest(
-        out,
-        "likelihood-demo",
-        cfg,
-        ["likelihood_inset.csv", "background_saturation.csv"],
-        {"wall_s": time.perf_counter() - t0},
-    )
-    return EXIT_OK
+    write_saturation(out / "background_saturation.csv", points)
+    return ["likelihood_inset.csv", "background_saturation.csv"], {}
 
 
-def _cmd_scaling(args) -> int:
-    cfg = _load(args)
-    out = _prepare_out(args, cfg)
-    t0 = time.perf_counter()
+def _cmd_scaling(cfg: ParsedConfig, out: Path, args):
+    """Idealized constant-repeats Tau scaling report."""
     # idealized mode: zero overhead, no dephasing, extended grid
     truth = dataclasses.replace(
         cfg.truth,
@@ -227,22 +158,17 @@ def _cmd_scaling(args) -> int:
         grid=cfg.scaling.grid,
     )
     write_scaling(out / "tau_scaling.csv", report)
-    _write_manifest(
-        out,
-        "tau-scaling",
-        cfg,
-        ["tau_scaling.csv"],
-        {
-            "slope": report.slope,
-            "slope_ci": list(report.slope_ci),
-            "beta": report.beta,
-            "reference_slope": report.reference_slope,
-            "wall_s": time.perf_counter() - t0,
-        },
-    )
-    return EXIT_OK
+    return ["tau_scaling.csv"], {
+        "slope": report.slope,
+        "slope_ci": list(report.slope_ci),
+        "beta": report.beta,
+        "reference_slope": report.reference_slope,
+    }
 
 
+# subcommand -> function of (config, output directory, parsed arguments)
+# that writes the command's files and returns their names and its own
+# manifest entries; the function's docstring is the subcommand's help
 COMMANDS = {
     "run": _cmd_run,
     "batch": _cmd_batch,
@@ -254,11 +180,28 @@ COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        cfg = _load(args)
+        out = args.out
+        out.mkdir(parents=True, exist_ok=True)
+        (out / SIDECAR_NAME).write_text(cfg.echo())
+        t0 = time.perf_counter()
+        outputs, extras = COMMANDS[args.command](cfg, out, args)
+        manifest = {
+            "command": args.command,
+            "package_version": __version__,
+            "seed": cfg.run.seed,
+            "effective_config": SIDECAR_NAME,
+            "outputs": sorted(outputs),
+            "t_snr_us_at_tau10": snr_epoch_time_us(cfg.truth),
+            **extras,
+            "wall_s": time.perf_counter() - t0,
+        }
+        (out / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (RunError, ValueError, OSError) as exc:
+    except (RunError, ValueError, OSError, MemoryError) as exc:
         print(f"run error: {exc}", file=sys.stderr)
         return EXIT_RUN
 

@@ -182,13 +182,7 @@ def resample_if_needed(cloud: ParticleCloud) -> ParticleCloud:
         return cloud
 
     cols = [PARAM_NAMES.index(name) for name in cloud.unknown]
-    mean = np.array([np.dot(cloud.weights, cloud.values[:, j]) for j in cols])
-    std = np.array(
-        [
-            np.sqrt(np.dot(cloud.weights, np.square(cloud.values[:, j] - m)))
-            for j, m in zip(cols, mean)
-        ]
-    )
+    mean, std = map(np.array, _moments(cloud))
 
     idx = cloud.rng.choice(n, size=n, p=cloud.weights)
     cloud.values = cloud.values[idx]
@@ -208,17 +202,22 @@ def resample_if_needed(cloud: ParticleCloud) -> ParticleCloud:
     return cloud
 
 
-def summarize(cloud: ParticleCloud) -> PosteriorSummary:
-    """Weighted mean and std per unknown."""
-    mean: dict[str, float] = {}
-    std: dict[str, float] = {}
+def _moments(cloud: ParticleCloud) -> tuple[list[float], list[float]]:
+    """Weighted mean and std of each unknown, in ``cloud.unknown`` order."""
+    means, stds = [], []
     for name in cloud.unknown:
         x = cloud.column(name)
         m = float(np.dot(cloud.weights, x))
         v = float(np.dot(cloud.weights, np.square(x - m)))
-        mean[name] = m
-        std[name] = np.sqrt(max(v, 0.0))
-    return PosteriorSummary(mean=mean, std=std)
+        means.append(m)
+        stds.append(np.sqrt(max(v, 0.0)))
+    return means, stds
+
+
+def summarize(cloud: ParticleCloud) -> PosteriorSummary:
+    """Weighted mean and std per unknown."""
+    means, stds = _moments(cloud)
+    return PosteriorSummary(dict(zip(cloud.unknown, means)), dict(zip(cloud.unknown, stds)))
 
 
 def ci90(cloud: ParticleCloud) -> dict[str, tuple[float, float]]:

@@ -420,28 +420,22 @@ class BatchSummary:
 
 def derived_seeds(seed: int, n: int) -> list[int]:
     """Independent child seeds, stable across platforms and worker counts."""
-    return [int(c.generate_state(1, dtype=np.uint64)[0]) for c in np.random.SeedSequence(seed).spawn(n)]
+    children = np.random.SeedSequence(seed).spawn(n)
+    return [int(c.generate_state(1, dtype=np.uint64)[0]) for c in children]
 
 
 def _locf_stats(
-    traces: list[RunTrace],
-    axis_field: str,
-    true_omega: float,
-    n_points: int,
+    traces: list[RunTrace], axes: list[np.ndarray], true_omega: float
 ) -> BatchGridStats:
-    axes = []
-    for t in traces:
-        if axis_field == "cum_sequences":
-            axes.append(t.field_array("cum_sequences").astype(float))
-        else:
-            axes.append(t.field_array("t_lab_ns").astype(float) * 1e-9)
+    """Each trace's last observation carried forward onto a geometric grid
+    of BATCH_GRID_POINTS over the span that the traces' ``axes`` share."""
     lo = max(a[0] for a in axes)
     hi = min(a[-1] for a in axes)
     if not hi > lo:
         raise ValueError("runs do not overlap on the common axis")
-    grid = np.geomspace(lo, hi, n_points)
+    grid = np.geomspace(lo, hi, BATCH_GRID_POINTS)
 
-    sig = np.empty((len(traces), n_points))
+    sig = np.empty((len(traces), BATCH_GRID_POINTS))
     err = np.empty_like(sig)
     eta2 = np.empty_like(sig)
     for i, (t, ax) in enumerate(zip(traces, axes)):
@@ -461,7 +455,7 @@ def _locf_stats(
     if outside:
         warnings.warn(
             f"batch mean sigma_omega leaves the 5-95 percentile band at "
-            f"{outside}/{n_points} grid points",
+            f"{outside}/{BATCH_GRID_POINTS} grid points",
             stacklevel=3,
         )
     return BatchGridStats(
@@ -509,10 +503,12 @@ def run_batch(
     except RunError as exc:
         raise RunError(f"batch aborted: {exc}") from exc
 
+    sequences = [t.field_array("cum_sequences").astype(float) for t in traces]
+    lab_times = [t.field_array("t_lab_ns").astype(float) * 1e-9 for t in traces]
     true_omega = truth.params.omega0
     return BatchSummary(
-        by_sequences=_locf_stats(traces, "cum_sequences", true_omega, BATCH_GRID_POINTS),
-        by_labtime=_locf_stats(traces, "t_lab_ns", true_omega, BATCH_GRID_POINTS),
+        by_sequences=_locf_stats(traces, sequences, true_omega),
+        by_labtime=_locf_stats(traces, lab_times, true_omega),
         traces=traces,
     )
 

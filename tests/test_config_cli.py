@@ -323,6 +323,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert "run error" in err and "seed 4" in err
 
+    def test_out_of_memory_is_run_error(self, tmp_path, monkeypatch, capsys):
+        # a prior too large for memory; the patched init_prior raises as
+        # numpy would, before anything is allocated
+        def no_memory(spec, seed):
+            raise MemoryError(f"Unable to allocate {spec.n_particles} particles")
+
+        monkeypatch.setattr("ramseydesign.runner.init_prior", no_memory)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("run.epochs = 2\nprior.particles = 1000000000000\n")
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("run error: Unable to allocate")
+
     def test_unknown_flag_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--nope", "--out", str(tmp_path / "x")])
@@ -367,6 +380,37 @@ class TestCli:
         assert manifest["beta"] < 1.0
         assert "slope" in manifest
         assert (out / "tau_scaling.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, text, extras",
+        [
+            ("run", FAST_RUN, {"epochs_measured"}),
+            ("batch",
+             "run.epochs = 5\nrun.protocol = random\nrun.seed = 2\nprior.particles = 300\n"
+             "batch.runs = 3\n",
+             {"n_runs"}),
+            ("likelihood-demo", "demo.saturation_runs = 2\ndemo.saturation_epochs = 3\n",
+             set()),
+            ("tau-scaling",
+             "scaling.repeats = 20000\nscaling.epochs = 6\nscaling.runs = 2\n"
+             "prior.particles = 300\n",
+             {"slope", "slope_ci", "beta", "reference_slope"}),
+        ],
+        ids=["run", "batch", "likelihood-demo", "tau-scaling"],
+    )
+    def test_manifest_keys(self, tmp_path, command, text, extras):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        common = {
+            "command", "package_version", "seed", "effective_config", "outputs",
+            "t_snr_us_at_tau10", "wall_s",
+        }
+        assert set(manifest) == common | extras
+        assert manifest["command"] == command
+        assert all((out / name).is_file() for name in manifest["outputs"])
 
 
 def test_cli_import_does_not_load_scipy():

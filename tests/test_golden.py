@@ -151,6 +151,8 @@ FILE_DIGESTS = {
     "trace:concurrent-random": "c852539c32bf2f3144d59288870cc3cd7ca66c0f4f5fd04b7047e3b30d12cc9b",
     "batch": "bcc833ba90a8b6d0b25fc1a7d257d77b4a934430661af1a5a2599862602feaf9",
     "scaling": "ee9ea1a2d66c1c4cdf1d61dd77a6130653fe3ae91e3fc2307d1b4b028c83ffaf",
+    "demo:likelihood_inset.csv": "d0bec3c3fe2bd1314dfbccfcece50c00f60e42f2fb477bd90c019f9d1a9a2e03",
+    "demo:background_saturation.csv": "a8b8d96bf46209eec49a0261ebe4bbf4529abf130095cdce4d073dfec6313d40",
 }
 
 SEED = "5"
@@ -197,6 +199,16 @@ def _scaling_digest(out: Path) -> str:
     return _sha((out / "tau_scaling.csv").read_bytes())
 
 
+def _demo_digest(name, out: Path) -> str:
+    # through the CLI, which writes both likelihood-demo files
+    path = out / "demo.txt"
+    path.write_text(
+        f"run.seed = {SEED}\ndemo.saturation_runs = 2\ndemo.saturation_epochs = 30\n"
+    )
+    assert main(["likelihood-demo", "--config", str(path), "--out", str(out)]) == 0
+    return _sha((out / name).read_bytes())
+
+
 def _file_digest(key, out: Path) -> str:
     kind, _, name = key.partition(":")
     if kind == "trace":
@@ -204,6 +216,8 @@ def _file_digest(key, out: Path) -> str:
             return _trace_digest(name, out)
     if kind == "batch":
         return _batch_digest(out)
+    if kind == "demo":
+        return _demo_digest(name, out)
     return _scaling_digest(out)
 
 

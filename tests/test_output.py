@@ -99,7 +99,4 @@ def test_scaling_roundtrip(tmp_path):
     )
     back = read_scaling(write_scaling(tmp_path / "s.csv", report))
     assert len(back["epoch"]) == 12
-    np.testing.assert_allclose(
-        back["sigma"][:6] if "sigma" in back else back["sigma_omega"][:6],
-        report.runs[0].sigma,
-    )
+    np.testing.assert_allclose(back["sigma_omega"][:6], report.runs[0].sigma)
