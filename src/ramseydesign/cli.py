@@ -179,31 +179,41 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    manifest = {
+        "command": args.command,
+        "package_version": __version__,
+        "effective_config": SIDECAR_NAME,
+    }
+    out = None  # set once the sidecar is written; a manifest follows it
     try:
         cfg = _load(args)
+        args.out.mkdir(parents=True, exist_ok=True)
+        (args.out / SIDECAR_NAME).write_text(cfg.echo())
         out = args.out
-        out.mkdir(parents=True, exist_ok=True)
-        (out / SIDECAR_NAME).write_text(cfg.echo())
         t0 = time.perf_counter()
         outputs, extras = COMMANDS[args.command](cfg, out, args)
-        manifest = {
-            "command": args.command,
-            "package_version": __version__,
-            "seed": cfg.run.seed,
-            "effective_config": SIDECAR_NAME,
-            "outputs": sorted(outputs),
-            "t_snr_us_at_tau10": snr_epoch_time_us(cfg.truth),
+        manifest.update(
+            seed=cfg.run.seed,
+            outputs=sorted(outputs),
+            t_snr_us_at_tau10=snr_epoch_time_us(cfg.truth),
             **extras,
-            "wall_s": time.perf_counter() - t0,
-        }
-        (out / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True))
-        return EXIT_OK
+            wall_s=time.perf_counter() - t0,
+        )
+        code = EXIT_OK
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        code, error = EXIT_CONFIG, f"config error: {exc}"
     except (RunError, ValueError, OSError, MemoryError) as exc:
-        print(f"run error: {exc}", file=sys.stderr)
-        return EXIT_RUN
+        code, error = EXIT_RUN, f"run error: {exc}"
+    if code != EXIT_OK:
+        print(error, file=sys.stderr)
+        manifest.update(exit_code=code, error=error)
+    if out is not None:
+        try:
+            (out / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        except OSError as exc:
+            print(f"run error: {exc}", file=sys.stderr)
+            return EXIT_RUN
+    return code
 
 
 if __name__ == "__main__":

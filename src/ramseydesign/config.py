@@ -23,9 +23,9 @@ from pathlib import Path
 from .demo import SATURATION_EPOCHS, SATURATION_RUNS
 from .instrument import (
     DRIFT_KINDS,
-    POISSON_LAM_MAX,
     DriftSpec,
     TruthConfig,
+    check_poisson_limit,
     sequence_duration_ns,
 )
 from .model import RamseyParams
@@ -380,24 +380,16 @@ def parse_config(
             "a sequence at grid.tau_min_us plus truth.overhead_us must last at least 1 ns",
             anchor("grid.tau_min_us", "truth.overhead_us"),
         )
-    # Largest mean count of one epoch: the background rate, which no drift
-    # takes above lambda_b + |amplitude|, times max(1, a (1 + c)) >= R, per
-    # sequence, times the most sequences an epoch holds (those that fit at
-    # the shortest setting, or the study's fixed repeats).
-    per_sequence = (truth.lambda_b0 + abs(truth.drift.amplitude)) * max(
-        1.0, truth.params.a * (1.0 + truth.params.c)
-    )
-    max_sequences = POISSON_LAM_MAX / per_sequence
+    # an epoch holds at most the sequences that fit at the shortest
+    # setting, or the study's fixed repeats
     for sequences, keys in (
         (round(epoch_us * 1000.0) // shortest_ns, ("run.epoch_time_ms", "grid.tau_min_us")),
         (values["scaling.repeats"], ("scaling.repeats",)),
     ):
-        if not sequences < max_sequences:
-            raise ConfigError(
-                f"{keys[0]}: an epoch would hold more than {max_sequences:.3g} sequences, "
-                "too many photons for numpy's Poisson sampler",
-                anchor(*keys, "truth.lambda_b", "truth.a"),
-            )
+        try:
+            check_poisson_limit(truth, sequences, keys[0])
+        except ValueError as exc:
+            raise ConfigError(str(exc), anchor(*keys, "truth.lambda_b", "truth.a")) from None
     # The integer-ns lab clock is read as a float. An epoch lasts at most
     # its allocation or one sequence at the longest setting, so the clock
     # ends below epochs times that, or the lab-time budget plus one epoch.

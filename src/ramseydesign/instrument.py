@@ -93,6 +93,25 @@ def sequence_duration_ns(tau_us: float, overhead_us: float) -> int:
     return round(tau_us * 1000.0) + round(overhead_us * 1000.0)
 
 
+def check_poisson_limit(truth: TruthConfig, sequences: int, name: str) -> None:
+    """Raise ValueError naming ``name`` if an epoch of ``sequences``
+    sequences could ask numpy's Poisson sampler for a mean above
+    POISSON_LAM_MAX.
+
+    The largest mean count per sequence is the background rate, which no
+    drift takes above lambda_b + |amplitude|, times max(1, a (1 + c)) >= R.
+    """
+    per_sequence = (truth.lambda_b0 + abs(truth.drift.amplitude)) * max(
+        1.0, truth.params.a * (1.0 + truth.params.c)
+    )
+    max_sequences = POISSON_LAM_MAX / per_sequence
+    if not sequences < max_sequences:
+        raise ValueError(
+            f"{name}: an epoch would hold more than {max_sequences:.3g} sequences, "
+            "too many photons for numpy's Poisson sampler"
+        )
+
+
 def simulate_epoch(
     truth: TruthConfig,
     tau_us: float,

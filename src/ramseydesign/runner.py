@@ -2,26 +2,24 @@
 
 A run iterates epochs: measure m_s sequences at the current setting and
 run one calc step, which absorbs the data not yet absorbed and designs
-the next setting. The three workflows differ in when the calc runs and
-what its time costs:
+the next setting. A workflow is two choices:
 
-series
-    The calc follows the measurement: epoch i+1's setting is designed
-    from data through epoch i. For Bayes its wall time is added to lab
-    time (the instrument idles); Tau/Random analysis time is discounted.
-concurrent
-    The calc runs while the epoch is measured: epoch i's setting was
-    designed from data through epoch i-2. A Bayes epoch lasts as long
-    as its calc, so computation never adds to lab time.
-concurrent-deterministic
-    Same lag, but every epoch lasts its allocation and records the
-    allocation (Bayes) or 0 (Tau/Random) as its calc time, so runs are
-    bit-reproducible.
+design lag
+    0 for series: the calc follows the measurement, so epoch i+1's
+    setting is designed from data through epoch i. 1 for concurrent and
+    concurrent-deterministic: the calc runs while the epoch is measured,
+    so epoch i's setting was designed from data through epoch i-2.
+calc cost
+    The calc's wall time (series, concurrent), or a charged cost
+    (concurrent-deterministic): the allocation for Bayes, the paper's
+    compute time, and 0 for Tau/Random, so runs are bit-reproducible.
 
-Every other epoch lasts its allocation too, and m_s is as many sequences
-as fit in it. The Tau-scaling study is a series Tau run that measures a
-fixed number of sequences per epoch instead. Lab time is accounted in
-integer nanoseconds; totals are exact.
+One timing rule reads the cost: series Bayes adds it to lab time (the
+instrument idles; Tau/Random analysis time is discounted), a lagged
+Bayes epoch lasts it, and every other epoch lasts its allocation. m_s is
+as many sequences as fit the epoch; the Tau-scaling study is a series
+Tau run that measures a fixed number per epoch instead. Lab time is
+accounted in integer nanoseconds; totals are exact.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .instrument import TruthConfig, sequence_duration_ns, simulate_epoch
+from .instrument import TruthConfig, check_poisson_limit, sequence_duration_ns, simulate_epoch
 from .likelihood import EpochData
 from .model import PARAM_NAMES
 from .particles import (
@@ -284,33 +282,28 @@ def run_single(
     truth: TruthConfig,
     prior: PriorSpec | None = None,
     tau_config: TauConfig | None = None,
+    *,
+    repeats: int | None = None,
 ) -> RunTrace:
-    """Execute one run and return its trace.
+    """Execute one run and return its trace: the epoch loop of every
+    workflow and of the Tau-scaling study.
 
+    ``repeats`` fixes the sequences per epoch (the scaling study);
+    otherwise an epoch measures as many sequences as fit its duration.
     Every record's summary describes the posterior after that epoch's
     data was absorbed; in concurrent workflows the absorption happens
     one epoch later (or in a final drain step), but is attributed to the
     epoch that produced the data.
     """
-    return _run_epochs(run, truth, prior, tau_config)
-
-
-def _run_epochs(
-    run: RunConfig,
-    truth: TruthConfig,
-    prior: PriorSpec | None,
-    tau_config: TauConfig | None,
-    repeats: int | None = None,
-) -> RunTrace:
-    """The epoch loop of every workflow and of the Tau-scaling study.
-
-    ``repeats`` fixes the sequences per epoch (the scaling study);
-    otherwise an epoch measures as many sequences as fit its duration.
-    """
     prior = prior or default_prior(DEFAULT_UNKNOWNS, truth)
     alloc_ms = run.resolved_epoch_time_ms(prior)
     if alloc_ms * 1000.0 <= truth.overhead_us:
         raise ValueError("epoch time allocation must exceed the sequence overhead")
+    alloc_ns = round(alloc_ms * 1e6)
+    # m_s that numpy's Poisson sampler must take: the repeats, or what fits at tau_min
+    shortest_ns = max(1, sequence_duration_ns(run.grid.tau_min, truth.overhead_us))
+    name = "repeats" if repeats else "epoch_time_ms"
+    check_poisson_limit(truth, repeats or alloc_ns // shortest_ns, name)
     tau_config = tau_config or TauConfig()
 
     rng = np.random.default_rng(run.seed)
@@ -318,10 +311,10 @@ def _run_epochs(
     # Tau designs from the newest posterior sigma: the prior's is taken
     # here, every later one comes from the epoch step
     summary = summarize(cloud) if run.protocol == "tau" else None
-    alloc_ns = round(alloc_ms * 1e6)
     bayes = run.protocol == "bayes"
     lagged = run.workflow != "series"
-    timed = run.workflow != "concurrent-deterministic"
+    deterministic = run.workflow == "concurrent-deterministic"
+    charged_s = alloc_ms * 1e-3 if bayes else 0.0  # a deterministic calc's cost
     max_epochs = run.epochs or math.inf
     budget_ns = math.inf if run.lab_time_s is None else round(run.lab_time_s * 1e9)
     nu = run.background_prior_exponent
@@ -342,13 +335,13 @@ def _run_epochs(
             summaries.append(summary)
 
     def calc() -> float:
-        """Absorb, then design the next setting; return the wall seconds."""
+        """Absorb, then design the next setting; return the calc's cost in s."""
         nonlocal next_tau
         t0 = time.perf_counter()
         absorb()
         lam_hat = n_b_win / m_b_win if m_b_win else 0.0
         next_tau = _design(run, truth, cloud, summary, lam_hat, tau_config, rng)
-        return time.perf_counter() - t0
+        return charged_s if deterministic else time.perf_counter() - t0
 
     # the first setting is designed from the bare prior before the clock starts
     next_tau = _design(run, truth, cloud, summary, 0.0, tau_config, rng)
@@ -358,11 +351,11 @@ def _run_epochs(
         epoch = len(records)
         tau = next_tau
         # Timing. Lagged workflows run the calc while this epoch is
-        # measured, series after it. An epoch lasts its allocation, a
-        # concurrent Bayes epoch its calc; series Bayes charges its calc
-        # to lab time, as the instrument idles meanwhile (fig. 2(a)).
+        # measured, series after it. A lagged Bayes epoch lasts its calc's
+        # cost, every other epoch its allocation; series Bayes adds its
+        # calc to lab time, as the instrument idles meanwhile (fig. 2(a)).
         t_calc = calc() if lagged else 0.0
-        duration_ns = max(1, round(t_calc * 1e9)) if bayes and lagged and timed else alloc_ns
+        duration_ns = max(1, round(t_calc * 1e9)) if bayes and lagged else alloc_ns
         m_s = repeats or int(max(1, duration_ns // sequence_duration_ns(tau, truth.overhead_us)))
         outcome = simulate_epoch(truth, tau, m_s, t_lab_ns / 1000.0, rng)
         window.append((outcome.n_b, m_s))
@@ -373,9 +366,6 @@ def _run_epochs(
         if not lagged:
             t_calc = calc()
             t_lab_ns += round(t_calc * 1e9) if bayes else 0
-        if not timed:
-            # deterministic epochs record the paper's Bayes compute time
-            t_calc = alloc_ms * 1e-3 if bayes else 0.0
         records.append(
             EpochRecord(
                 epoch=epoch,
@@ -425,10 +415,10 @@ def derived_seeds(seed: int, n: int) -> list[int]:
 
 
 def _locf_stats(
-    traces: list[RunTrace], axes: list[np.ndarray], true_omega: float
+    traces: list[RunTrace], axes: list[np.ndarray], lab_times: list[np.ndarray], true_omega: float
 ) -> BatchGridStats:
     """Each trace's last observation carried forward onto a geometric grid
-    of BATCH_GRID_POINTS over the span that the traces' ``axes`` share."""
+    of BATCH_GRID_POINTS over the span the ``axes`` share; eta2 reads ``lab_times`` (s)."""
     lo = max(a[0] for a in axes)
     hi = min(a[-1] for a in axes)
     if not hi > lo:
@@ -438,15 +428,14 @@ def _locf_stats(
     sig = np.empty((len(traces), BATCH_GRID_POINTS))
     err = np.empty_like(sig)
     eta2 = np.empty_like(sig)
-    for i, (t, ax) in enumerate(zip(traces, axes)):
+    for i, (t, ax, lab) in enumerate(zip(traces, axes, lab_times)):
         idx = np.searchsorted(ax, grid, side="right") - 1
         idx = np.clip(idx, 0, len(ax) - 1)
         s = t.sigma_omega()[idx]
         m = t.omega_mean()[idx]
-        tl = t.field_array("t_lab_ns").astype(float)[idx] * 1e-9
         sig[i] = s
         err[i] = m - true_omega
-        eta2[i] = field_units(s, tl)[1]
+        eta2[i] = field_units(s, lab[idx])[1]
 
     mean_sigma = sig.mean(axis=0)
     p5 = np.percentile(sig, 5, axis=0)
@@ -507,8 +496,8 @@ def run_batch(
     lab_times = [t.field_array("t_lab_ns").astype(float) * 1e-9 for t in traces]
     true_omega = truth.params.omega0
     return BatchSummary(
-        by_sequences=_locf_stats(traces, sequences, true_omega),
-        by_labtime=_locf_stats(traces, lab_times, true_omega),
+        by_sequences=_locf_stats(traces, sequences, lab_times, true_omega),
+        by_labtime=_locf_stats(traces, lab_times, lab_times, true_omega),
         traces=traces,
     )
 
@@ -564,7 +553,7 @@ def tau_scaling_experiment(
         run = RunConfig(
             protocol="tau", workflow="series", epochs=epochs, seed=run_seed, grid=grid,
         )
-        trace = _run_epochs(run, truth, prior, tau_config, repeats=repeats_per_epoch)
+        trace = run_single(run, truth, prior, tau_config, repeats=repeats_per_epoch)
         taus = trace.field_array("tau_us")
         sigmas = trace.sigma_omega()
         runs.append(

@@ -311,11 +311,7 @@ class TestCli:
         assert rc == 2
         assert f"{SEED_ENV_VAR}='-4'" in capsys.readouterr().err
 
-    def test_inference_failure_exit_code(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(
-            "ramseydesign.particles.log_likelihood_general",
-            lambda n_s, m_s, n_b, m_b, r, nu=-1.0: np.full(np.shape(r), np.nan),
-        )
+    def test_inference_failure_exit_code(self, tmp_path, nan_likelihood, capsys):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(FAST_RUN)
         rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "x"), "--seed", "4"])
@@ -335,6 +331,23 @@ class TestCli:
         rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")])
         assert rc == 3
         assert capsys.readouterr().err.startswith("run error: Unable to allocate")
+
+    def test_failed_command_writes_failure_manifest(self, tmp_path, nan_likelihood, capsys):
+        # the run fails after the sidecar is written
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(FAST_RUN)
+        out = tmp_path / "x"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--seed", "44"]) == 3
+        error = capsys.readouterr().err.strip()
+        assert error.startswith("run error:") and "seed 44" in error
+        assert json.loads((out / "manifest.json").read_text()) == {
+            "command": "run",
+            "package_version": ramseydesign.__version__,
+            "effective_config": "effective_config.txt",
+            "exit_code": 3,
+            "error": error,
+        }
+        assert (out / "effective_config.txt").is_file()
 
     def test_unknown_flag_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

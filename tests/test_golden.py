@@ -16,18 +16,15 @@ trailing ``# changed`` on each one that differs from its recorded value.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import platform
 import tempfile
-from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import fixed_step_clock
 
-from ramseydesign import runner
 from ramseydesign.cli import main
 from ramseydesign.config import SEED_ENV_VAR, parse_config
 from ramseydesign.instrument import TruthConfig
@@ -63,23 +60,6 @@ ECHO_CASES = {
     "design-four": {**DESIGN_CONFIG, "run.unknowns": "all-four"},
     "filter-batch": FILTER_CONFIG,
 }
-
-# Series and concurrent traces carry the wall time of each calc step.
-# Their digests are taken under a fake clock that advances by a fixed,
-# exactly representable step per reading, so every calc lasts one step.
-CLOCK_STEP_S = 2.0**-11
-
-
-@contextmanager
-def fixed_step_clock():
-    ticks = itertools.count()
-    saved = runner.time
-    runner.time = SimpleNamespace(perf_counter=lambda: next(ticks) * CLOCK_STEP_S)
-    try:
-        yield
-    finally:
-        runner.time = saved
-
 
 # name -> (config overrides, RunConfig.design_particles); runs without a
 # run.workflow key use the default concurrent-deterministic workflow

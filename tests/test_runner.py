@@ -1,14 +1,15 @@
-import itertools
+import csv
 import math
 import multiprocessing
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import CLOCK_STEP_S
 
 from ramseydesign.instrument import TruthConfig, sequence_duration_ns
 from ramseydesign.model import RamseyParams
+from ramseydesign.output import write_trace
 from ramseydesign.particles import PriorSpec, init_prior, summarize
 from ramseydesign import runner
 from ramseydesign.runner import (
@@ -203,6 +204,22 @@ class TestRunSingle:
         with pytest.raises(ValueError):
             run_single(cfg, TruthConfig(), small_prior())
 
+    @pytest.mark.parametrize(
+        "run, repeats, name",
+        [
+            (RunConfig(protocol="tau", epochs=1, epoch_time_ms=1e300), None, "epoch_time_ms"),
+            (RunConfig(protocol="tau", epochs=1, workflow="series"), 10**30, "repeats"),
+        ],
+        ids=["epoch-time", "repeats"],
+    )
+    def test_poisson_limit_rejected_before_the_prior(self, run, repeats, name, monkeypatch):
+        # numpy's Poisson sampler would end the run in "lam value too large"
+        def no_prior(spec, seed):
+            raise AssertionError("the prior was drawn")
+
+        monkeypatch.setattr(runner, "init_prior", no_prior)
+        with pytest.raises(ValueError, match=f"^{name}: an epoch would hold more than"):
+            run_single(run, TruthConfig(), repeats=repeats)
 
     @pytest.mark.parametrize("workflow", ["series", "concurrent-deterministic"])
     def test_tau_summarizes_once_per_epoch(self, workflow, monkeypatch):
@@ -218,19 +235,6 @@ class TestRunSingle:
         cfg = RunConfig(protocol="tau", epochs=7, seed=3, workflow=workflow)
         run_single(cfg, TRUTH, small_prior())
         assert len(calls) == 7 + 1
-
-
-# one reading of the fake clock to the next; exactly representable, so
-# every calc step lasts exactly this long
-CLOCK_STEP_S = 2.0**-11
-
-
-@pytest.fixture
-def fixed_step_clock(monkeypatch):
-    ticks = itertools.count()
-    monkeypatch.setattr(
-        runner, "time", SimpleNamespace(perf_counter=lambda: next(ticks) * CLOCK_STEP_S)
-    )
 
 
 class TestTimingRule:
@@ -279,6 +283,35 @@ class TestTimingRule:
         expected = cfg.resolved_epoch_time_ms(prior) * 1e-3 if protocol == "bayes" else 0.0
         assert [rec.t_calc_s for rec in trace.records] == [expected] * 6
 
+    @pytest.mark.parametrize(
+        "budget", [dict(epochs=12), dict(lab_time_s=0.01)], ids=["epochs", "lab-time"]
+    )
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_deterministic_is_concurrent_with_a_charged_calc(
+        self, protocol, budget, fixed_step_clock, tmp_path
+    ):
+        # an allocation of 0.48828125 ms is charged exactly one clock step,
+        # so both workflows time every epoch alike; Tau/Random are charged 0
+        alloc_ms = 0.48828125
+        assert alloc_ms * 1e-3 == CLOCK_STEP_S
+        tables = []
+        for workflow in ("concurrent", "concurrent-deterministic"):
+            cfg = RunConfig(
+                protocol=protocol, epoch_time_ms=alloc_ms, seed=27, workflow=workflow, **budget
+            )
+            trace = run_single(cfg, TRUTH, small_prior(300))
+            path = write_trace(tmp_path / f"{workflow}.csv", trace)
+            tables.append(path.read_bytes())
+        if protocol == "bayes":
+            assert tables[0] == tables[1]
+            return
+        rows = [list(csv.reader(table.decode().splitlines())) for table in tables]
+        col = rows[0][0].index("t_calc_s")
+        assert [r[col] for r in rows[1][1:]] == ["0.0"] * (len(rows[1]) - 1)
+        assert [r[:col] + r[col + 1 :] for r in rows[0]] == [
+            r[:col] + r[col + 1 :] for r in rows[1]
+        ]
+
 
 class TestFaultInjection:
     @pytest.mark.parametrize("workflow", WORKFLOWS)
@@ -314,15 +347,6 @@ class TestFaultInjection:
         for rec in trace.records:
             for d in (rec.summary.mean, rec.summary.std):
                 assert all(math.isfinite(v) for v in d.values())
-
-
-@pytest.fixture
-def nan_likelihood(monkeypatch):
-    # every weight update meets a non-finite likelihood
-    monkeypatch.setattr(
-        "ramseydesign.particles.log_likelihood_general",
-        lambda n_s, m_s, n_b, m_b, r, nu=-1.0: np.full(np.shape(r), np.nan),
-    )
 
 
 class TestInferenceFailure:
